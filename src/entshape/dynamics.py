@@ -15,9 +15,10 @@ is strictly positive while the slower trajectory stays entangled. E(F) is
 clamped to 0 once F falls to 1/2 (the separable regime), keeping
 trajectories defined for all horizons.
 
-For amplitude damping no closed form is available; the analogue is computed
-by slicing the channel into m equal-damping steps and evaluating the numeric
-entanglement bound along the sliced evolution.
+For amplitude damping no closed form is available; the analogue is the gap
+between numeric entanglement bounds at the two damping endpoints. Equal-damping
+slices compose exactly, AD(a) o AD(b) = AD(1 - (1-a)(1-b)), so a time-sliced
+path ends at one-shot damping and the endpoints are evaluated directly.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 from .channels import amplitude_damping, apply
 from .entanglement import SolverConfig, er_bell_fidelity, er_numeric
-from .qstate import DensityMatrix, bell_pair
+from .qstate import bell_pair
 
 
 @dataclass(frozen=True)
@@ -112,38 +113,26 @@ def trajectory(
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DampingSuppression:
     """Numeric suppression analogue for amplitude damping.
 
     ``value`` is the endpoint entanglement gap between the compressed and raw
-    damping paths; the trajectories carry decimated per-slice samples of
-    (t, target fidelity, numeric entanglement bound, linear entropy).
+    damping paths.
     """
 
     value: float
     er_raw_endpoint: float
     er_compressed_endpoint: float
-    slices: int
-    raw_samples: tuple[tuple[float, float, float, float], ...]
-    compressed_samples: tuple[tuple[float, float, float, float], ...]
-    doubling_gap: float
 
 
 def damping_suppression(
-    gamma: float,
-    compression: float,
-    slices: int = 256,
-    sample_stride: int = 16,
-    solver_cfg: SolverConfig | None = None,
+    gamma: float, compression: float, solver_cfg: SolverConfig | None = None
 ) -> DampingSuppression:
-    """Slice the damping channel into equal steps and track both paths.
+    """er(AD(compression * gamma)) - er(AD(gamma)) on the damped Bell pair.
 
     ``compression`` scales the damping parameter the way the parametric
-    decoupling transform would (gamma' = compression * gamma). The endpoint
-    gap is re-checked with twice the slice count; ``doubling_gap`` reports
-    the difference, which is tiny because equal-damping slices compose
-    exactly.
+    decoupling transform would (gamma' = compression * gamma).
     """
     if not (0 <= gamma <= 1):
         raise ValueError(f"damping parameter {gamma} outside [0, 1]")
@@ -151,45 +140,9 @@ def damping_suppression(
         raise ValueError("compression must be in (0, 1]")
     cfg = solver_cfg or SolverConfig(max_iterations=400, patience=15)
 
-    def run(gamma_total: float, m: int, stride: int):
-        gamma_slice = 1 - (1 - gamma_total) ** (1 / m)
-        step_channel = amplitude_damping(gamma_slice)
-        state = bell_pair()
-        samples = []
-        from .qstate import bell_fidelity, purity_and_mixedness
+    def endpoint(g: float) -> float:
+        return er_numeric(apply(amplitude_damping(g), bell_pair(), target=1), cfg).value
 
-        def record(idx: int, rho: DensityMatrix):
-            er = er_numeric(rho, cfg).value
-            _, mixed = purity_and_mixedness(rho)
-            samples.append((idx / m, bell_fidelity(rho), er, mixed))
-
-        record(0, state)
-        for i in range(1, m + 1):
-            state = apply(step_channel, state, target=1)
-            if i == m or i % stride == 0:
-                record(i, state)
-        return samples
-
-    raw = run(gamma, slices, sample_stride)
-    compressed = run(compression * gamma, slices, sample_stride)
-    value = compressed[-1][2] - raw[-1][2]
-
-    # Convergence check by doubling the slice count, endpoints only.
-    def endpoint(gamma_total: float, m: int) -> float:
-        gamma_slice = 1 - (1 - gamma_total) ** (1 / m)
-        step_channel = amplitude_damping(gamma_slice)
-        state = bell_pair()
-        for _ in range(m):
-            state = apply(step_channel, state, target=1)
-        return er_numeric(state, cfg).value
-
-    doubled = endpoint(compression * gamma, 2 * slices) - endpoint(gamma, 2 * slices)
-    return DampingSuppression(
-        value=value,
-        er_raw_endpoint=raw[-1][2],
-        er_compressed_endpoint=compressed[-1][2],
-        slices=slices,
-        raw_samples=tuple(raw),
-        compressed_samples=tuple(compressed),
-        doubling_gap=abs(doubled - value),
-    )
+    raw = endpoint(gamma)
+    compressed = endpoint(compression * gamma)
+    return DampingSuppression(compressed - raw, raw, compressed)

@@ -27,7 +27,6 @@ import numpy as np
 from .qstate import (
     BellDiagonalState,
     DensityMatrix,
-    bell_projection,
     binary_entropy,
     partial_trace,
     partial_transpose,
@@ -430,7 +429,3 @@ def er_auto(rho: DensityMatrix, cfg: SolverConfig | None = None) -> ERResult:
         return er_numeric(rho, cfg)
     return er_bell_diagonal(bd)
 
-
-def er_bell_projection(rho: DensityMatrix) -> ERResult:
-    """Closed form applied to the Bell-diagonal part of a state."""
-    return er_bell_diagonal(bell_projection(rho))

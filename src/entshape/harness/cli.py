@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 invariant or selfcheck failure, 2 configuration
-error, 3 I/O error. ``ENTSHAPE_WORKERS`` overrides the worker count.
+error, 3 I/O error. Bad configuration, including a state parameter outside
+its family's domain, exits 2 before any computation starts.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ def _parser() -> argparse.ArgumentParser:
             choices=SIDES,
             help="transmission geometry: channel on one qubit, two qubits, or both readings",
         )
-        p.add_argument("--workers", type=int, help="worker process count")
         p.add_argument("--quiet", action="store_true", help="suppress the summary printout")
         if name == "er":
             p.add_argument("--state", dest="er_state", help="state family for the er experiment")
@@ -62,7 +62,6 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         "out": "out_dir",
         "convention": "convention",
         "sides": "sides",
-        "workers": "workers",
     }
     for arg_name, key in mapping.items():
         value = getattr(args, arg_name, None)

@@ -7,7 +7,7 @@ keys are rejected so typos fail loudly before any computation starts.
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -15,6 +15,13 @@ EXPERIMENTS = ("table1", "table2", "flow", "sweep", "er", "selfcheck")
 CONVENTIONS = ("paper", "oracle", "both")
 SIDES = ("one", "two", "both")
 ER_STATES = ("werner", "werner_channel", "depolarizing", "amplitude_damping", "bell")
+# Closed domain of er_param per state family; the bell state takes no parameter.
+ER_PARAM_DOMAINS = {
+    "werner": (-1 / 3, 1.0),
+    "werner_channel": (0.0, 0.75),
+    "depolarizing": (0.0, 0.75),
+    "amplitude_damping": (0.0, 1.0),
+}
 
 
 class ConfigError(ValueError):
@@ -44,13 +51,14 @@ class ExperimentConfig:
     sweep_count: int = 10
     t_total: float = 1.0
     t_step: float = 0.02
-    ad_grid: int = 12
-    ad_slices: int = 256
-    workers: int | None = None
     out_dir: str = "results"
     quiet: bool = False
 
     def validate(self) -> None:
+        for key in sorted(_FLOAT_KEYS):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} = {value} is not finite")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; pick from {EXPERIMENTS}")
         needs_convention = self.experiment in ("table1", "table2", "flow", "sweep", "er")
@@ -85,30 +93,15 @@ class ExperimentConfig:
             raise ConfigError("dd_noise_density must be non-negative")
         if self.er_state not in ER_STATES:
             raise ConfigError(f"er_state must be one of {ER_STATES}")
+        lo, hi = ER_PARAM_DOMAINS.get(self.er_state, (-math.inf, math.inf))
+        if not (lo <= self.er_param <= hi):
+            raise ConfigError(
+                f"er_param = {self.er_param} outside [{lo:.6g}, {hi:.6g}] for {self.er_state}"
+            )
         if self.sweep_count < 2 or not (0 <= self.sweep_start < self.sweep_stop <= 0.75):
             raise ConfigError("sweep grid must satisfy 0 <= start < stop <= 3/4 with count >= 2")
         if self.t_total <= 0 or self.t_step <= 0 or self.t_step > self.t_total:
             raise ConfigError("time grid must satisfy 0 < t_step <= t_total")
-        if self.ad_grid < 1:
-            raise ConfigError("ad_grid must be at least 1")
-        if self.ad_slices < 1:
-            raise ConfigError("ad_slices must be at least 1")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigError("workers must be at least 1")
-
-    def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return self.workers
-        env = os.environ.get("ENTSHAPE_WORKERS")
-        if env:
-            try:
-                count = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"ENTSHAPE_WORKERS = {env!r} is not an integer") from exc
-            if count < 1:
-                raise ConfigError("ENTSHAPE_WORKERS must be at least 1")
-            return count
-        return os.cpu_count() or 1
 
     def echo(self) -> dict:
         """Serializable snapshot of every parameter, in declaration order."""
@@ -121,7 +114,7 @@ class ExperimentConfig:
 _BOOL_KEYS = {"quiet"}
 _INT_KEYS = {
     "n_pairs", "rounds", "run_count", "batch_count", "master_seed",
-    "dd_pulse_count", "sweep_count", "ad_grid", "ad_slices", "workers",
+    "dd_pulse_count", "sweep_count",
 }
 _FLOAT_KEYS = {
     "p", "gamma", "p_prime", "dd_pulse_frequency", "dd_noise_density",

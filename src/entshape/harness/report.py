@@ -63,26 +63,6 @@ def discrepancy_entry(
     return entry
 
 
-def discrepancy_report(results) -> str:
-    """Merged text report over one or more experiment results.
-
-    Duplicate claim checks (same claim, same method) collapse to one entry.
-    """
-    results = list(results)
-    if not results:
-        raise ValueError("at least one experiment result is required")
-    entries: list[dict] = []
-    seen: set[tuple] = set()
-    for result in results:
-        for entry in result.discrepancies:
-            key = (entry["claim"], entry.get("method"))
-            if key not in seen:
-                seen.add(key)
-                entries.append(entry)
-    label = "+".join(dict.fromkeys(r.experiment for r in results))
-    return render_report(label, entries)
-
-
 def render_report(experiment: str, entries: list[dict]) -> str:
     """Plain-text report, one block per claim, discrepancies first."""
     ordered = sorted(

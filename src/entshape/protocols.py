@@ -27,7 +27,6 @@ import numpy as np
 from .channels import (
     PARAMETRIC,
     QuantumChannel,
-    amplitude_damping,
     apply,
     dd_effective_parametric,
     dd_effective_pulse_average,
@@ -259,26 +258,29 @@ class MonteCarloStats:
 
 
 def sample_branch_indices(
-    round_probs: tuple[tuple[float, int], ...], master_seed: int, start: int, count: int
+    round_probs: tuple[tuple[float, int], ...], master_seed: int, count: int
 ) -> np.ndarray:
     """Branch index per run: 0..rounds-1 = first failing round, rounds = success.
 
     ``round_probs`` lists (success probability, parallel node count) per
-    round. Each run draws from an independent generator spawned from the
-    master seed and the absolute run index, so results are identical no
-    matter how runs are chunked across workers.
+    round. Round r is the first failure with probability
+    survive_r * (1 - p_r^n_r), where survive_r is the product of the earlier
+    rounds' p^n; the all-success branch takes the remaining product. Each run
+    is one categorical draw: ``count`` uniforms from
+    ``default_rng(master_seed)`` located in the cumulative branch
+    probabilities, so the indices depend only on (round_probs, seed, count).
     """
-    out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(start + i,)))
-        result = len(round_probs)
-        for r, (prob, nodes) in enumerate(round_probs):
-            draws = rng.random(nodes)
-            if np.any(draws >= prob):
-                result = r
-                break
-        out[i] = result
-    return out
+    branch_probs = []
+    survive = 1.0
+    for prob, nodes in round_probs:
+        all_nodes = prob**nodes
+        branch_probs.append(survive * (1 - all_nodes))
+        survive *= all_nodes
+    branch_probs.append(survive)
+    uniforms = np.random.default_rng(master_seed).random(count)
+    indices = np.searchsorted(np.cumsum(branch_probs), uniforms, side="right")
+    # Rounding can leave the cumulative total a hair below 1.
+    return np.minimum(indices, len(round_probs)).astype(np.int64)
 
 
 def round_probabilities(summaries: list[RoundSummary]) -> tuple[tuple[float, int], ...]:
@@ -294,11 +296,11 @@ def dejmps_monte_carlo(
     batch_count: int = 10,
     outcome_indices: np.ndarray | None = None,
 ) -> MonteCarloStats:
-    """Monte Carlo sampling of the recursive pipeline with deterministic seeds.
+    """Monte Carlo sampling of the recursive pipeline from one master seed.
 
-    ``outcome_indices`` lets a caller supply pre-sampled branch indices (used
-    by the parallel harness); they must have been produced by
-    :func:`sample_branch_indices` with the same seed to preserve determinism.
+    Each run is one categorical draw over the exact first-failure branches
+    (:func:`sample_branch_indices`). ``outcome_indices`` lets a caller supply
+    branch indices it already drew with that function and the same seed.
     """
     if run_count < 1:
         raise ValueError("run_count must be at least 1")
@@ -308,7 +310,7 @@ def dejmps_monte_carlo(
 
     if outcome_indices is None:
         outcome_indices = sample_branch_indices(
-            round_probabilities(summaries), master_seed, 0, run_count
+            round_probabilities(summaries), master_seed, run_count
         )
     if len(outcome_indices) != run_count:
         raise ValueError("outcome indices do not match run_count")
@@ -445,59 +447,6 @@ def _two_qubit_embed(u: np.ndarray, q1: int, q2: int, n: int) -> np.ndarray:
                 col = sum(bit << (n - 1 - k) for k, bit in enumerate(bits_c))
                 out[row, col] += amp_col
     return out
-
-
-@dataclass(frozen=True)
-class RotationSearchResult:
-    theta: float
-    phi: float
-    er_value: float
-    screened_value: float
-
-
-def _rotated_damped_pair(gamma: float, theta: float, phi: float) -> DensityMatrix:
-    u = np.array(
-        [
-            [math.cos(theta / 2), -math.sin(theta / 2) * np.exp(-1j * phi)],
-            [math.sin(theta / 2) * np.exp(1j * phi), math.cos(theta / 2)],
-        ],
-        dtype=complex,
-    )
-    pair = bell_pair()
-    rotated = DensityMatrix(np.kron(I2, u) @ pair.matrix @ np.kron(I2, u).conj().T, (2, 2))
-    return apply(amplitude_damping(gamma), rotated, target=1)
-
-
-def pre_rotation_search_ad(
-    gamma: float,
-    grid: int = 12,
-    solver_cfg: SolverConfig | None = None,
-) -> RotationSearchResult:
-    """Grid search over single-qubit pre-rotations before amplitude damping.
-
-    The rotation U(theta, phi) is applied to the transmitted qubit of a Bell
-    pair before the damping channel; the score is the numeric upper bound on
-    the output entanglement, computed with a reduced solver budget during
-    the scan and re-solved at full budget for the winner. First maximum in
-    scan order wins; candidates within the screening solver's noise floor
-    (1e-3 bits) of the running best count as ties, so the tie-break is
-    stable.
-    """
-    if gamma < 0 or gamma > 1:
-        raise ValueError(f"damping parameter {gamma} outside [0, 1]")
-    screen_cfg = solver_cfg or SolverConfig(max_iterations=250, patience=12)
-    best: tuple[float, float, float] | None = None
-    for i in range(grid):
-        theta = math.pi * i / max(grid - 1, 1)
-        for j in range(grid):
-            phi = 2 * math.pi * j / grid
-            out = _rotated_damped_pair(gamma, theta, phi)
-            value = er_auto(out, screen_cfg).value
-            if best is None or value > best[2] + 1e-3:
-                best = (theta, phi, value)
-    theta, phi, screened = best
-    refined = er_auto(_rotated_damped_pair(gamma, theta, phi), solver_cfg).value
-    return RotationSearchResult(theta, phi, min(refined, screened), screened)
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,25 @@ class TestApply:
         with pytest.raises(ValueError):
             apply(depolarizing(0.1), bell_pair(), target=2)
 
+    def test_pre_rotation_is_local_unitary_on_kept_qubit(self):
+        # (I x U)|Phi+> = (U^T x I)|Phi+>, and the channel acts only on B, so
+        # rotating the transmitted qubit first equals a unitary on A after
+        # the channel: a pre-rotation cannot change the output entanglement.
+        for theta, phi, gamma in [(0.0, 0.0, 0.3), (0.7, 1.9, 0.3), (2.1, 4.4, 0.5), (math.pi, 0.3, 0.9)]:
+            u = np.array(
+                [
+                    [math.cos(theta / 2), -math.sin(theta / 2) * np.exp(-1j * phi)],
+                    [math.sin(theta / 2) * np.exp(1j * phi), math.cos(theta / 2)],
+                ]
+            )
+            rotate_b = np.kron(np.eye(2), u)
+            rotated = DensityMatrix(rotate_b @ bell_pair().matrix @ rotate_b.conj().T, (2, 2))
+            out = apply(amplitude_damping(gamma), rotated, target=1)
+            unrotated = apply(amplitude_damping(gamma), bell_pair(), target=1)
+            rotate_a = np.kron(u.T, np.eye(2))
+            expected = rotate_a @ unrotated.matrix @ rotate_a.conj().T
+            assert np.abs(out.matrix - expected).max() < 1e-12
+
 
 class TestChoiAndEB:
     def test_choi_identity_is_bell(self):
@@ -168,6 +187,20 @@ class TestCompose:
             a = apply(combined, rho)
             b = apply(direct, rho)
             assert np.abs(a.matrix - b.matrix).max() < 1e-12
+
+    def test_damping_composition_on_choi_states(self):
+        # AD(a) o AD(b) = AD(1 - (1-a)(1-b)) on the damped Bell pair, so m
+        # equal slices of a time-sliced path end at one-shot damping.
+        for a, b in [(0.1, 0.2), (0.3, 0.4), (0.5, 0.5), (0.9, 0.05)]:
+            composed = choi(compose(amplitude_damping(a), amplitude_damping(b)))
+            direct = choi(amplitude_damping(1 - (1 - a) * (1 - b)))
+            assert np.abs(composed.matrix - direct.matrix).max() < 1e-12
+        gamma, slices = 0.5, 64
+        step = amplitude_damping(1 - (1 - gamma) ** (1 / slices))
+        sliced = bell_pair()
+        for _ in range(slices):
+            sliced = apply(step, sliced, target=1)
+        assert np.abs(sliced.matrix - choi(amplitude_damping(gamma)).matrix).max() < 1e-12
 
 
 class TestDDConfig:

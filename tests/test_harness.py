@@ -17,20 +17,14 @@ from entshape.harness.experiments import (
     input_pair_state,
     run,
 )
-from entshape.harness.report import discrepancy_entry, discrepancy_report, render_report
+from entshape.harness.report import discrepancy_entry, render_report
 
 
-def cli(*args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "entshape", *args],
         capture_output=True,
         text=True,
-        env=full_env,
     )
 
 
@@ -78,15 +72,26 @@ class TestConfig:
             build_config("table1", {})
         build_config("selfcheck", {})  # selfcheck needs no convention
 
-    def test_worker_resolution(self, monkeypatch):
-        cfg = build_config("selfcheck", {"workers": 3})
-        assert cfg.resolved_workers() == 3
-        cfg = build_config("selfcheck", {})
-        monkeypatch.setenv("ENTSHAPE_WORKERS", "5")
-        assert cfg.resolved_workers() == 5
-        monkeypatch.setenv("ENTSHAPE_WORKERS", "zero")
-        with pytest.raises(ConfigError):
-            cfg.resolved_workers()
+    def test_er_param_checked_against_state_family(self):
+        for state, bad in [
+            ("werner", 5.0), ("werner", -0.34), ("werner_channel", 0.76),
+            ("depolarizing", -0.1), ("amplitude_damping", 1.01),
+        ]:
+            with pytest.raises(ConfigError, match="er_param"):
+                build_config("er", {"convention": "oracle", "er_state": state, "er_param": bad})
+        build_config("er", {"convention": "oracle", "er_state": "werner", "er_param": -1 / 3})
+        build_config("er", {"convention": "oracle", "er_state": "bell", "er_param": 5.0})
+
+    def test_non_finite_values_rejected(self):
+        for key in ("er_param", "dd_noise_density", "t_total", "p_prime"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ConfigError, match="not finite"):
+                    build_config("selfcheck", {key: bad})
+
+    def test_removed_keys_rejected(self):
+        for key in ("workers", "ad_grid", "ad_slices"):
+            with pytest.raises(ConfigError, match="unknown"):
+                parse_value(key, "1")
 
 
 class TestConventions:
@@ -151,18 +156,6 @@ class TestReport:
         for key in ("h2_0915", "hashing_rate_p02", "eb_threshold", "dd_limit"):
             assert key in CLAIMS
 
-    def test_merged_report_deduplicates(self, tmp_path):
-        cfg = build_config(
-            "table1",
-            {"convention": "oracle", "sides": "one", "out_dir": str(tmp_path),
-             "run_count": 500, "workers": 1},
-        )
-        result = run(cfg)
-        merged = discrepancy_report([result, result])
-        assert merged.count("[DISCREPANT] h2_0915") == 1
-        with pytest.raises(ValueError):
-            discrepancy_report([])
-
 
 class TestExperiments:
     def test_table1_writes_report_with_mandatory_entries(self, tmp_path):
@@ -172,7 +165,6 @@ class TestExperiments:
                 "convention": "both",
                 "out_dir": str(tmp_path),
                 "run_count": 2000,
-                "workers": 1,
             },
         )
         result = run(cfg)
@@ -188,7 +180,7 @@ class TestExperiments:
     def test_every_claim_check_has_single_status(self, tmp_path):
         cfg = build_config(
             "table1",
-            {"convention": "both", "out_dir": str(tmp_path), "run_count": 1000, "workers": 1},
+            {"convention": "both", "out_dir": str(tmp_path), "run_count": 1000},
         )
         result = run(cfg)
         for entry in result.discrepancies:
@@ -275,7 +267,7 @@ class TestCLI:
         out = tmp_path / "out"
         args = (
             "table1", "--convention", "both", "--seed", "424242",
-            "--runs", "3000", "--out", str(out), "--workers", "1", "--quiet",
+            "--runs", "3000", "--out", str(out), "--quiet",
         )
         proc = cli(*args)
         assert proc.returncode == 0, proc.stderr
@@ -286,20 +278,6 @@ class TestCLI:
         second = strip_wall_clock(out / "table1_result.json")
         assert first == second
 
-    def test_serial_matches_workers(self, tmp_path):
-        out_serial = tmp_path / "serial"
-        out_parallel = tmp_path / "parallel"
-        base = ("table1", "--convention", "oracle", "--sides", "one",
-                "--seed", "31337", "--runs", "4000", "--quiet")
-        proc = cli(*base, "--out", str(out_serial), "--workers", "1")
-        assert proc.returncode == 0, proc.stderr
-        proc = cli(*base, "--out", str(out_parallel), env={"ENTSHAPE_WORKERS": "8"})
-        assert proc.returncode == 0, proc.stderr
-        a = json.loads((out_serial / "table1_result.json").read_text())
-        b = json.loads((out_parallel / "table1_result.json").read_text())
-        assert a["rows"] == b["rows"]
-        assert a["discrepancies"] == b["discrepancies"]
-
     def test_er_cli(self, tmp_path):
         proc = cli(
             "er", "--convention", "oracle", "--state", "werner",
@@ -307,3 +285,15 @@ class TestCLI:
         )
         assert proc.returncode == 0, proc.stderr
         assert "er_numeric" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "state, param", [("werner", "5"), ("amplitude_damping", "nan")]
+    )
+    def test_bad_er_param_exits_two(self, tmp_path, state, param):
+        proc = cli(
+            "er", "--convention", "oracle", "--state", state,
+            "--param", param, "--out", str(tmp_path),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr

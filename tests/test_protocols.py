@@ -4,21 +4,22 @@ import numpy as np
 import pytest
 
 from entshape.channels import DDConfig, amplitude_damping, apply, depolarizing
-from entshape.entanglement import er_bell_diagonal
+from entshape.entanglement import er_auto, er_bell_diagonal, er_numeric
 from entshape.protocols import (
     DistillationOutcome,
+    _round_summaries,
     dejmps_branch_map,
     dejmps_monte_carlo,
     dejmps_recursive,
     hashing_rate,
     pes_pipeline,
-    pre_rotation_search_ad,
     round_probabilities,
     sample_branch_indices,
     u_pre,
 )
 from entshape.qstate import (
     BellDiagonalState,
+    DensityMatrix,
     bell_pair,
     bell_projection,
     werner,
@@ -245,18 +246,22 @@ class TestMonteCarlo:
         assert a.success_mean == b.success_mean
         assert a.er_global_mean == b.er_global_mean
 
-    def test_chunking_invariance(self):
-        state = werner_from_channel(0.2)
-        probs = round_probabilities(
-            __import__("entshape.protocols", fromlist=["_round_summaries"])._round_summaries(
-                state, 2, 4
-            )
+    @pytest.mark.parametrize("fidelity", [0.7, 0.8, 0.9])
+    def test_branch_frequencies_match_exact_tree(self, fidelity):
+        # Indices 0..rounds-1 are first-failure rounds, index rounds is success;
+        # the exact tree lists success first, then failures in round order.
+        state = werner_from_channel(1 - fidelity)
+        exact = dejmps_recursive(4, state, 2)
+        expected = np.array(
+            [b.probability for b in exact.branches if not b.success]
+            + [exact.success_probability]
         )
-        whole = sample_branch_indices(probs, 4321, 0, 1000)
-        parts = np.concatenate(
-            [sample_branch_indices(probs, 4321, s, c) for s, c in ((0, 300), (300, 700))]
-        )
-        assert np.array_equal(whole, parts)
+        assert len(expected) == 3
+        count = 200_000
+        probs = round_probabilities(_round_summaries(state, 2, 4))
+        freq = np.bincount(sample_branch_indices(probs, 4321, count), minlength=3) / count
+        sigma = np.sqrt(expected * (1 - expected) / count)
+        assert np.all(np.abs(freq - expected) <= 5 * sigma)
 
     @pytest.mark.parametrize("fidelity", [0.7, 0.8, 0.9])
     def test_agrees_with_exact_tree(self, fidelity):
@@ -333,18 +338,40 @@ class TestPesPipeline:
 
 
 class TestRotationSearch:
+    """A pre-rotation of the transmitted qubit is a local unitary on the kept
+    qubit after the channel, so the unrotated damped pair that table2_pes
+    reports is already the best any rotation can do."""
+
+    @staticmethod
+    def _damped(gamma, theta=0.0, phi=0.0):
+        u = np.array(
+            [
+                [math.cos(theta / 2), -math.sin(theta / 2) * np.exp(-1j * phi)],
+                [math.sin(theta / 2) * np.exp(1j * phi), math.cos(theta / 2)],
+            ]
+        )
+        rotate_b = np.kron(np.eye(2), u)
+        rotated = DensityMatrix(rotate_b @ bell_pair().matrix @ rotate_b.conj().T, (2, 2))
+        return apply(amplitude_damping(gamma), rotated, target=1)
+
+    ROTATIONS = [(math.pi / 2, 0.0), (math.pi, 2 * math.pi / 3)]
+
     def test_zero_damping_ties_at_first_point(self):
-        res = pre_rotation_search_ad(0.0, grid=3)
-        assert res.theta == 0.0 and res.phi == 0.0
-        assert res.er_value == pytest.approx(1.0, abs=5e-3)
+        plain = er_numeric(self._damped(0.0)).value
+        assert plain == pytest.approx(1.0, abs=5e-3)
+        for theta, phi in self.ROTATIONS:
+            assert er_auto(self._damped(0.0, theta, phi)).value == pytest.approx(plain, abs=5e-3)
 
     def test_full_damping_gives_zero(self):
-        res = pre_rotation_search_ad(1.0, grid=3)
-        assert res.er_value < 1e-4
+        assert er_numeric(self._damped(1.0)).value < 1e-4
+        for theta, phi in self.ROTATIONS:
+            assert er_auto(self._damped(1.0, theta, phi)).value < 1e-4
 
     def test_moderate_damping(self):
-        res = pre_rotation_search_ad(0.3, grid=4)
-        assert 0.3 < res.er_value < 0.7
+        plain = er_numeric(self._damped(0.3)).value
+        assert 0.3 < plain < 0.7
+        for theta, phi in self.ROTATIONS:
+            assert er_auto(self._damped(0.3, theta, phi)).value == pytest.approx(plain, abs=5e-3)
 
 
 class TestHashingRate:
