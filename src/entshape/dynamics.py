@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .channels import amplitude_damping, apply
-from .entanglement import SolverConfig, er_bell_fidelity, er_numeric
+from .entanglement import er_bell_fidelity, er_numeric
 from .qstate import bell_pair
 
 
@@ -118,31 +118,32 @@ class DampingSuppression:
     """Numeric suppression analogue for amplitude damping.
 
     ``value`` is the endpoint entanglement gap between the compressed and raw
-    damping paths.
+    damping paths; ``converged`` is the AND of the two endpoint solves' flags.
     """
 
     value: float
     er_raw_endpoint: float
     er_compressed_endpoint: float
+    converged: bool
 
 
-def damping_suppression(
-    gamma: float, compression: float, solver_cfg: SolverConfig | None = None
-) -> DampingSuppression:
+def damping_suppression(gamma: float, compression: float) -> DampingSuppression:
     """er(AD(compression * gamma)) - er(AD(gamma)) on the damped Bell pair.
 
     ``compression`` scales the damping parameter the way the parametric
-    decoupling transform would (gamma' = compression * gamma).
+    decoupling transform would (gamma' = compression * gamma). The damped
+    pair is an X state, so both endpoints take the certified X-state path.
     """
     if not (0 <= gamma <= 1):
         raise ValueError(f"damping parameter {gamma} outside [0, 1]")
     if not (0 < compression <= 1):
         raise ValueError("compression must be in (0, 1]")
-    cfg = solver_cfg or SolverConfig(max_iterations=400, patience=15)
 
-    def endpoint(g: float) -> float:
-        return er_numeric(apply(amplitude_damping(g), bell_pair(), target=1), cfg).value
+    def endpoint(g: float):
+        return er_numeric(apply(amplitude_damping(g), bell_pair(), target=1))
 
     raw = endpoint(gamma)
     compressed = endpoint(compression * gamma)
-    return DampingSuppression(compressed - raw, raw, compressed)
+    return DampingSuppression(
+        compressed.value - raw.value, raw.value, compressed.value, raw.converged and compressed.converged
+    )

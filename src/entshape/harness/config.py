@@ -23,6 +23,10 @@ ER_PARAM_DOMAINS = {
     "amplitude_damping": (0.0, 1.0),
 }
 
+# Upper bounds that stop a huge count in validation instead of at allocation.
+MAX_RUN_COUNT = 10**7
+MAX_SWEEP_COUNT = 10**4
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the CLI maps this to exit code 2."""
@@ -79,8 +83,8 @@ class ExperimentConfig:
             raise ConfigError(f"n_pairs = {self.n_pairs} is not a power of two")
         if self.rounds < 0 or 2**self.rounds > self.n_pairs:
             raise ConfigError(f"rounds = {self.rounds} too large for {self.n_pairs} pairs")
-        if self.run_count < 1:
-            raise ConfigError("run_count must be at least 1")
+        if not (1 <= self.run_count <= MAX_RUN_COUNT):
+            raise ConfigError(f"run_count = {self.run_count} outside [1, {MAX_RUN_COUNT}]")
         if self.batch_count < 1:
             raise ConfigError("batch_count must be at least 1")
         if not (0 <= self.master_seed < 2**64):
@@ -98,8 +102,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"er_param = {self.er_param} outside [{lo:.6g}, {hi:.6g}] for {self.er_state}"
             )
-        if self.sweep_count < 2 or not (0 <= self.sweep_start < self.sweep_stop <= 0.75):
-            raise ConfigError("sweep grid must satisfy 0 <= start < stop <= 3/4 with count >= 2")
+        grid_ok = 0 <= self.sweep_start < self.sweep_stop <= 0.75
+        if not (grid_ok and 2 <= self.sweep_count <= MAX_SWEEP_COUNT):
+            raise ConfigError(
+                f"sweep grid must satisfy 0 <= start < stop <= 3/4 with 2 <= count <= {MAX_SWEEP_COUNT}"
+            )
         if self.t_total <= 0 or self.t_step <= 0 or self.t_step > self.t_total:
             raise ConfigError("time grid must satisfy 0 < t_step <= t_total")
 

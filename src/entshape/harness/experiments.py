@@ -38,7 +38,6 @@ from ..dynamics import (
     trajectory,
 )
 from ..entanglement import (
-    SolverConfig,
     er_bell_diagonal,
     er_bell_fidelity,
     er_numeric,
@@ -484,9 +483,6 @@ def run_table1(cfg: ExperimentConfig) -> ExperimentResult:
 def run_table2(cfg: ExperimentConfig) -> ExperimentResult:
     result = ExperimentResult("table2", cfg.echo())
     geometries = GEOMETRIES[cfg.sides]
-    # Budget chosen so the damped-pair states actually reach the stall
-    # detector.
-    solver_cfg = SolverConfig(max_iterations=1500, patience=15)
 
     for geometry in geometries:
         pair = apply(amplitude_damping(cfg.gamma), bell_pair(), target=1)
@@ -497,8 +493,8 @@ def run_table2(cfg: ExperimentConfig) -> ExperimentResult:
         row["input_twirled"] = True
         result.rows.append(row)
 
-    plain = er_numeric(apply(amplitude_damping(cfg.gamma), bell_pair(), target=1), solver_cfg)
-    suppression = damping_suppression(0.5, 0.85, solver_cfg)
+    plain = er_numeric(apply(amplitude_damping(cfg.gamma), bell_pair(), target=1))
+    suppression = damping_suppression(0.5, 0.85)
     result.rows.append(
         {
             "protocol": "pre_channel_shaping",
@@ -518,6 +514,7 @@ def run_table2(cfg: ExperimentConfig) -> ExperimentResult:
             "delta_er": suppression.value,
             "er_raw_endpoint": suppression.er_raw_endpoint,
             "er_compressed_endpoint": suppression.er_compressed_endpoint,
+            "converged": suppression.converged,
         }
     )
 
@@ -676,7 +673,6 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_er_single(cfg: ExperimentConfig) -> ExperimentResult:
     result = ExperimentResult("er", cfg.echo())
-    solver_cfg = SolverConfig()
     # An unconverged numeric value is still a valid upper bound; it is
     # surfaced through the converged flag rather than failing the run.
     if cfg.er_state == "werner":
@@ -690,7 +686,7 @@ def run_er_single(cfg: ExperimentConfig) -> ExperimentResult:
     else:
         rho = bell_pair()
 
-    numeric = er_numeric(rho, solver_cfg)
+    numeric = er_numeric(rho)
     row = {
         "state": cfg.er_state,
         "param": cfg.er_param,

@@ -181,6 +181,7 @@ class TestDampingSuppression:
         res = damping_suppression(0.5, 0.85)
         assert res.value > 0
         assert res.er_compressed_endpoint > res.er_raw_endpoint
+        assert res.converged
 
     def test_rejects_bad_compression(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entshape.channels import amplitude_damping, apply
 from entshape.entanglement import (
     SeparableAnsatz,
     SolverConfig,
+    _er_frank_wolfe,
     er_auto,
     er_bell_diagonal,
     er_bell_fidelity,
@@ -173,6 +177,94 @@ class TestNumericSolver:
                 checked_ent += 1
                 assert er_numeric(rho, BUDGET).value > 1e-3
         assert checked_sep >= 10 and checked_ent >= 10
+
+
+def damped_pair(gamma, gamma_a=0.0):
+    rho = apply(amplitude_damping(gamma), bell_pair(), target=1)
+    return apply(amplitude_damping(gamma_a), rho, target=0) if gamma_a else rho
+
+
+def x_state(pops, coherence):
+    m = np.diag(np.asarray(pops, dtype=float)).astype(complex)
+    m[0, 3], m[3, 0] = coherence, np.conj(coherence)
+    return DensityMatrix(m, (2, 2))
+
+
+def _x_cases():
+    cases = {f"one_sided_{g}": damped_pair(g) for g in (0.1, 0.3, 0.6)}
+    cases.update({f"two_sided_{g}": damped_pair(g, g) for g in (0.1, 0.3, 0.6)})
+    cases["werner_0.83"] = werner(0.83).to_density_matrix()
+    m = damped_pair(0.3).matrix
+    cases["dephased_damped_0.3"] = x_state(np.diag(m).real, 0.6 * m[0, 3])
+    cases["complex_phase_0.3"] = x_state(np.diag(m).real, m[0, 3] * np.exp(1.1j))
+    return cases
+
+
+X_CASES = _x_cases()
+
+
+def check_x_result(rho, res):
+    """The X-path interval is ordered and its certificate is separable and exact."""
+    assert res.lower is not None and 0.0 <= res.lower <= res.value
+    assert len(res.certificate.weights) <= 5
+    sigma = res.certificate.assemble()
+    assert np.linalg.eigvalsh(partial_transpose(sigma)).min() >= -1e-10
+    assert relative_entropy(rho, sigma) == pytest.approx(res.value, abs=1e-9)
+
+
+class TestXStatePath:
+    @pytest.mark.parametrize("name", sorted(X_CASES))
+    def test_not_above_general_solver(self, name):
+        rho = X_CASES[name]
+        assert er_numeric(rho).value <= _er_frank_wolfe(rho, BUDGET).value + 1e-9
+
+    @pytest.mark.parametrize("name", sorted(X_CASES))
+    def test_certified_interval(self, name):
+        rho = X_CASES[name]
+        res = er_numeric(rho)
+        check_x_result(rho, res)
+        assert res.converged and res.value - res.lower <= 1e-9
+
+    def test_werner_interval_holds_closed_form(self):
+        res = er_numeric(X_CASES["werner_0.83"])
+        closed = er_bell_diagonal(werner(0.83)).value
+        assert res.lower - 1e-9 <= closed <= res.value + 1e-9
+
+    def test_phase_does_not_change_value(self):
+        a = er_numeric(damped_pair(0.3)).value
+        assert er_numeric(X_CASES["complex_phase_0.3"]).value == pytest.approx(a, abs=1e-12)
+
+    def test_edge_cases_without_division_by_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert er_numeric(damped_pair(0.0)).value == pytest.approx(1.0, abs=1e-12)
+            zero = [
+                damped_pair(1.0),
+                DensityMatrix.from_state_vector(np.kron([1, 0], [0, 1]), (2, 2)),
+                werner(1 / 3).to_density_matrix(),
+            ]
+            for rho in zero:
+                res = er_numeric(rho)
+                assert res.value < 1e-12 and res.converged
+                check_x_result(rho, res)
+
+    def test_general_path_is_the_frank_wolfe_solver(self):
+        rho = random_density_matrix(np.random.default_rng(19), (2, 2))
+        a, b = er_numeric(rho, BUDGET), _er_frank_wolfe(rho, BUDGET)
+        assert (a.value, a.iterations, a.converged, a.lower) == (b.value, b.iterations, b.converged, None)
+        assert a.certificate.weights == b.certificate.weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pops=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda p: sum(p) > 1e-3),
+    fraction=st.floats(0.0, 1.0),
+    phase=st.floats(0.0, 2 * math.pi),
+)
+def test_random_x_states_give_ordered_certified_intervals(pops, fraction, phase):
+    p = np.array(pops) / sum(pops)
+    rho = x_state(p, fraction * math.sqrt(p[0] * p[3]) * np.exp(1j * phase))
+    check_x_result(rho, er_numeric(rho))
 
 
 class TestMonotonicityAndConvexity:

@@ -7,6 +7,8 @@ import pytest
 
 from entshape.harness.claims import CLAIMS, claim
 from entshape.harness.config import (
+    MAX_RUN_COUNT,
+    MAX_SWEEP_COUNT,
     ConfigError,
     build_config,
     load_config_file,
@@ -297,3 +299,18 @@ class TestCLI:
         assert proc.returncode == 2, proc.stderr
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_huge_run_count_exits_two(self, tmp_path):
+        proc = cli(
+            "table1", "--convention", "oracle", "--runs", str(MAX_RUN_COUNT + 1),
+            "--out", str(tmp_path),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "run_count" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_huge_sweep_count_exits_two(self, tmp_path):
+        config = tmp_path / "huge.cfg"
+        config.write_text(f"sweep_count = {MAX_SWEEP_COUNT + 1}\n")
+        proc = cli("sweep", "--convention", "oracle", "--config", str(config), "--out", str(tmp_path))
+        assert proc.returncode == 2, proc.stderr
+        assert "sweep grid" in proc.stderr and "Traceback" not in proc.stderr
