@@ -171,7 +171,6 @@ class DDConfig:
     """
 
     mode: str = PARAMETRIC
-    pulse_count: int = 4
     pulse_frequency: float = 10.0
     noise_spectral_density: float = 0.0
     pulse_set: tuple[np.ndarray, ...] = PAULIS
@@ -179,8 +178,6 @@ class DDConfig:
     def __post_init__(self):
         if self.mode not in (PARAMETRIC, PULSE_AVERAGE):
             raise ValueError(f"unknown decoupling mode {self.mode!r}")
-        if self.pulse_count < 1:
-            raise ValueError("pulse_count must be at least 1")
         if self.pulse_frequency <= 0:
             raise ValueError("pulse_frequency must be positive")
         if self.noise_spectral_density < 0:

@@ -26,6 +26,10 @@ ER_PARAM_DOMAINS = {
 # Upper bounds that stop a huge count in validation instead of at allocation.
 MAX_RUN_COUNT = 10**7
 MAX_SWEEP_COUNT = 10**4
+MAX_TRAJECTORY_SAMPLES = 10**5
+
+# Effective noise parameter of the shaping rows when p_prime is not set.
+DEFAULT_P_PRIME = 0.17
 
 
 class ConfigError(ValueError):
@@ -45,9 +49,6 @@ class ExperimentConfig:
     run_count: int = 10_000
     batch_count: int = 10
     master_seed: int = 20260808
-    dd_pulse_count: int = 4
-    dd_pulse_frequency: float = 10.0
-    dd_noise_density: float = 1.625  # gives p' ~= 0.17 from p = 0.2 at f = 10
     er_state: str = "werner"
     er_param: float = 0.8
     sweep_start: float = 0.05
@@ -89,12 +90,6 @@ class ExperimentConfig:
             raise ConfigError("batch_count must be at least 1")
         if not (0 <= self.master_seed < 2**64):
             raise ConfigError("master_seed must fit in 64 bits")
-        if self.dd_pulse_count < 1:
-            raise ConfigError("dd_pulse_count must be at least 1")
-        if self.dd_pulse_frequency <= 0:
-            raise ConfigError("dd_pulse_frequency must be positive")
-        if self.dd_noise_density < 0:
-            raise ConfigError("dd_noise_density must be non-negative")
         if self.er_state not in ER_STATES:
             raise ConfigError(f"er_state must be one of {ER_STATES}")
         lo, hi = ER_PARAM_DOMAINS.get(self.er_state, (-math.inf, math.inf))
@@ -109,6 +104,14 @@ class ExperimentConfig:
             )
         if self.t_total <= 0 or self.t_step <= 0 or self.t_step > self.t_total:
             raise ConfigError("time grid must satisfy 0 < t_step <= t_total")
+        if self.t_total / self.t_step + 1 > MAX_TRAJECTORY_SAMPLES:
+            raise ConfigError(
+                f"time grid t_total / t_step + 1 exceeds {MAX_TRAJECTORY_SAMPLES} trajectory samples"
+            )
+        # The flow trajectories compare a compressed parameter against the raw one.
+        p_prime = self.p_prime if self.p_prime is not None else DEFAULT_P_PRIME
+        if self.experiment == "flow" and p_prime > self.p:
+            raise ConfigError(f"flow needs p_prime = {p_prime} <= p = {self.p}")
 
     def echo(self) -> dict:
         """Serializable snapshot of every parameter, in declaration order."""
@@ -120,12 +123,10 @@ class ExperimentConfig:
 
 _BOOL_KEYS = {"quiet"}
 _INT_KEYS = {
-    "n_pairs", "rounds", "run_count", "batch_count", "master_seed",
-    "dd_pulse_count", "sweep_count",
+    "n_pairs", "rounds", "run_count", "batch_count", "master_seed", "sweep_count",
 }
 _FLOAT_KEYS = {
-    "p", "gamma", "p_prime", "dd_pulse_frequency", "dd_noise_density",
-    "er_param", "sweep_start", "sweep_stop", "t_total", "t_step",
+    "p", "gamma", "p_prime", "er_param", "sweep_start", "sweep_stop", "t_total", "t_step",
 }
 _STR_KEYS = {"experiment", "convention", "sides", "er_state", "out_dir"}
 

@@ -62,7 +62,7 @@ from ..qstate import (
     werner_from_channel,
 )
 from .claims import claim
-from .config import ConfigError, ExperimentConfig
+from .config import DEFAULT_P_PRIME, ConfigError, ExperimentConfig
 from .report import discrepancy_entry, render_report
 
 GEOMETRIES = {"one": ("one",), "two": ("two",), "both": ("one", "two")}
@@ -173,13 +173,14 @@ def calibrate_p_prime(target_er: float, bridge: str, geometry: str, p_raw: float
     lo, hi = 1e-9, 0.75 - 1e-9
     if not (per_pair_er(hi) <= target_er <= per_pair_er(lo)):
         return {"p_prime": None, "feasible": False, "achieved_er": None}
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    # Halve until the midpoint rounds onto an endpoint: about 55 steps.
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if per_pair_er(mid) > target_er:
             lo = mid
         else:
             hi = mid
-    mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
     return {
         "p_prime": mid,
         "feasible": bool(mid <= p_raw + 1e-9),
@@ -214,8 +215,8 @@ def _distillation_row(cfg: ExperimentConfig, state: BellDiagonalState, bridge: s
         outcome_indices=indices,
     )
     exact = mc.exact
-    global_bd = bell_projection(exact.global_state)
-    global_mixed_trash = bell_projection(exact.global_with_placeholder_trash())
+    global_bd = exact.global_state
+    global_mixed_trash = exact.global_with_placeholder_trash()
     selected = exact.selected_state
     er_global = er_pair(global_bd)
     er_selected = er_pair(selected)
@@ -251,7 +252,8 @@ def _pes_row(cfg: ExperimentConfig, bridge: str, geometry: str, p_prime: float, 
 
     Under the first-principles bridge the row runs the actual shaping
     pipeline with a decoupling configuration whose compression realizes the
-    requested p' (noise density = f_dd * ln(p/p')); when p' exceeds the raw
+    requested p' (noise density / f_dd = ln(p/p'), the only combination the
+    compression reads, so f_dd is fixed at 1); when p' exceeds the raw
     parameter the compression formula cannot reach it, so the state is
     constructed directly and the row says so. The claim-side bridge has no
     channel realization (it is a parameter identification), so its states
@@ -260,11 +262,7 @@ def _pes_row(cfg: ExperimentConfig, bridge: str, geometry: str, p_prime: float, 
     dd_reachable = 0 < p_prime <= cfg.p
     dd_ratio = math.log(cfg.p / p_prime) if dd_reachable and p_prime > 0 else None
     if bridge == "oracle" and dd_reachable:
-        dd_cfg = DDConfig(
-            pulse_count=cfg.dd_pulse_count,
-            pulse_frequency=cfg.dd_pulse_frequency,
-            noise_spectral_density=dd_ratio * cfg.dd_pulse_frequency,
-        )
+        dd_cfg = DDConfig(noise_spectral_density=dd_ratio, pulse_frequency=1.0)
         pes = pes_pipeline(cfg.n_pairs, depolarizing(cfg.p), dd_cfg, sides=geometry)
         state = bell_projection(pes.block_state)
         realized = pes.effective_channel.param
@@ -395,7 +393,7 @@ def run_table1(cfg: ExperimentConfig) -> ExperimentResult:
                 pes_cal["calibrated_to"] = target_claim.value
                 pes_cal["calibration_feasible_from_p"] = calib["feasible"]
                 result.rows.append(pes_cal)
-            pinned = cfg.p_prime if cfg.p_prime is not None else 0.17
+            pinned = cfg.p_prime if cfg.p_prime is not None else DEFAULT_P_PRIME
             pes_pinned = _pes_row(cfg, bridge, geometry, pinned, "pre_channel_shaping")
             result.rows.append(pes_pinned)
 
@@ -567,7 +565,7 @@ def run_table2(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_flow(cfg: ExperimentConfig) -> ExperimentResult:
     result = ExperimentResult("flow", cfg.echo())
-    p_prime = cfg.p_prime if cfg.p_prime is not None else 0.17
+    p_prime = cfg.p_prime if cfg.p_prime is not None else DEFAULT_P_PRIME
     post_traj, pes_traj = trajectory(cfg.p, p_prime, 1.0, cfg.t_total, cfg.t_step)
 
     state = input_pair_state(
@@ -576,7 +574,7 @@ def run_flow(cfg: ExperimentConfig) -> ExperimentResult:
         cfg.p,
     )
     exact = dejmps_recursive(cfg.n_pairs, state, cfg.rounds)
-    global_bd = bell_projection(exact.global_state)
+    global_bd = exact.global_state
     pes_state = input_pair_state(
         "oracle" if cfg.convention == "both" else cfg.convention,
         "one" if cfg.sides == "both" else cfg.sides,
@@ -724,7 +722,7 @@ def run_selfcheck(cfg: ExperimentConfig) -> ExperimentResult:
     gap = abs(mc.success_mean - mc.exact.success_probability)
     limit = 3 * max(mc.success_se, 1e-6)
     checks.append(("mc_vs_exact_success", gap <= limit, f"gap {gap:.4f} vs 3se {limit:.4f}"))
-    fgap = abs(mc.fidelity_mean - bell_projection(mc.exact.global_state).fidelity)
+    fgap = abs(mc.fidelity_mean - mc.exact.global_state.fidelity)
     flimit = 3 * max(mc.fidelity_se, 1e-6)
     checks.append(("mc_vs_exact_fidelity", fgap <= flimit, f"gap {fgap:.4f} vs 3se {flimit:.4f}"))
 

@@ -1,26 +1,30 @@
 """The two compared pipelines: recurrence distillation vs pre-channel shaping.
 
-The distillation branch map is computed by full 16x16 density-matrix
-simulation of one recurrence step on a two-pair register (A1, B1, A2, B2):
-rotate X by +pi/2 on Alice's qubits and -pi/2 on Bob's, apply the bilateral
-CNOT (pair 1 controls pair 2), measure pair 2 in Z on both sides, and keep
-pair 1 when the outcomes agree. Equal-outcome post-measurement states
-coincide, so success collapses to a single branch; the failure branch keeps
-its exact post-measurement state rather than a maximally mixed placeholder,
-so the convexity bookkeeping downstream is checked against truth.
+One recurrence step acts on two pairs (A1, B1) and (A2, B2): rotate X by
++pi/2 on Alice's qubits and -pi/2 on Bob's, apply the bilateral CNOT (pair 1
+controls pair 2), measure pair 2 in Z on both sides, and keep pair 1 when the
+outcomes agree. On Bell-diagonal inputs with weights (Phi+, Psi+, Psi-, Phi-)
+this maps Bell weights to Bell weights by a closed-form bilinear update
+(Deutsch et al. 1996): the rotation swaps the two odd-phase Bell states, the
+bilateral CNOT adds the pair-1 bit-flip label onto pair 2 and the pair-2
+phase label onto pair 1, and the measurement reads pair 2's bit-flip label.
+Equal outcomes keep one success state; the failure branch keeps its exact
+post-measurement state rather than a maximally mixed placeholder, so the
+convexity bookkeeping downstream is checked against truth. The tests keep a
+16x16 density-matrix simulation of the step as the reference.
 
 The recursive pipeline consumes n = 2^rounds identical pairs. Every parallel
 node at a given round sees the same input state, so the full branch tree
 collapses to one success state and one failure state per round; the global
 output is the mixture over the first failing round (traversal order: rounds
-ascending) plus the all-success branch.
+ascending) plus the all-success branch. Every state in the distillation
+layer is Bell-diagonal, so outcomes carry and mix Bell weights only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .channels import (
     dd_effective_parametric,
     dd_effective_pulse_average,
 )
-from .entanglement import ERResult, SolverConfig, er_auto, er_bell_diagonal
+from .entanglement import ERResult, er_auto, er_bell_diagonal
 from .qstate import (
     BellDiagonalState,
     DensityMatrix,
@@ -45,8 +49,6 @@ from .qstate import (
     tensor,
 )
 
-_SQRT2 = math.sqrt(2)
-
 
 def u_pre() -> np.ndarray:
     """The 4x4 shaping unitary (I (x) X) . CNOT . (H (x) I)."""
@@ -56,42 +58,16 @@ def u_pre() -> np.ndarray:
     return np.kron(I2, X) @ cnot @ np.kron(H, I2)
 
 
-def _kron_all(ops) -> np.ndarray:
-    return reduce(np.kron, ops)
-
-
-def _cnot(control: int, target: int, n: int) -> np.ndarray:
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    lo = _kron_all([p0 if i == control else I2 for i in range(n)])
-    hi = _kron_all(
-        [p1 if i == control else (X if i == target else I2) for i in range(n)]
-    )
-    return lo + hi
-
-
-@lru_cache(maxsize=1)
-def _recurrence_operators() -> tuple[np.ndarray, list[np.ndarray]]:
-    """(pre-measurement unitary, projectors for Z outcomes 00/01/10/11 on pair 2)."""
-    rx_plus = (I2 - 1j * X) / _SQRT2
-    rx_minus = (I2 + 1j * X) / _SQRT2
-    rot = _kron_all([rx_plus, rx_minus, rx_plus, rx_minus])
-    u = _cnot(1, 3, 4) @ _cnot(0, 2, 4) @ rot
-    kets = (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
-    projectors = []
-    for a in (0, 1):
-        for b in (0, 1):
-            pa = np.outer(kets[a], kets[a].conj())
-            pb = np.outer(kets[b], kets[b].conj())
-            projectors.append(_kron_all([I2, I2, pa, pb]))
-    return u, projectors
-
-
 @dataclass(frozen=True, eq=False)
 class Branch:
     probability: float
     success: bool
     state: BellDiagonalState
+
+
+def _mixture(branches) -> np.ndarray:
+    """Bell weights of the probability mixture of the branch states."""
+    return sum(b.probability * np.asarray(b.state.coefficients) for b in branches)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +80,7 @@ class DistillationOutcome:
 
     branches: tuple[Branch, ...]
     success_probability: float
-    global_state: DensityMatrix
+    global_state: BellDiagonalState
     selected_state: BellDiagonalState
 
     def __post_init__(self):
@@ -116,27 +92,26 @@ class DistillationOutcome:
         p_s = sum(b.probability for b in self.branches if b.success)
         if abs(p_s - self.success_probability) > 1e-10:
             raise ValueError("success_probability does not match success branches")
-        mix = sum(
-            b.probability * b.state.to_density_matrix().matrix for b in self.branches
-        )
-        if np.abs(mix - self.global_state.matrix).max() > 1e-10:
+        mix = _mixture(self.branches)
+        if np.abs(mix - np.asarray(self.global_state.coefficients)).max() > 1e-10:
             raise ValueError("global state is not the branch mixture")
 
-    def global_with_placeholder_trash(self) -> DensityMatrix:
+    def global_with_placeholder_trash(self) -> BellDiagonalState:
         """Global mixture with every failure branch replaced by I/4."""
-        mix = np.zeros((4, 4), dtype=complex)
-        for b in self.branches:
-            part = b.state.to_density_matrix().matrix if b.success else np.eye(4) / 4
-            mix = mix + b.probability * part
-        return DensityMatrix(mix, (2, 2))
+        # I/4 puts weight 1/4 on every Bell state.
+        mix = sum(
+            b.probability * (np.asarray(b.state.coefficients) if b.success else 0.25)
+            for b in self.branches
+        )
+        return BellDiagonalState(mix / mix.sum())
 
 
 def _assemble(branches: list[Branch]) -> DistillationOutcome:
     p_s = sum(b.probability for b in branches if b.success)
-    mix = sum(b.probability * b.state.to_density_matrix().matrix for b in branches)
+    mix = _mixture(branches)
     selected = next(b.state for b in branches if b.success)
     return DistillationOutcome(
-        tuple(branches), p_s, DensityMatrix(mix, (2, 2)), selected
+        tuple(branches), p_s, BellDiagonalState(mix / mix.sum()), selected
     )
 
 
@@ -149,35 +124,24 @@ def _coerce_bell_diagonal(state) -> BellDiagonalState:
 
 
 def dejmps_branch_map(pair1, pair2) -> DistillationOutcome:
-    """One recurrence step on two Bell-diagonal pairs, simulated exactly.
+    """One recurrence step on two Bell-diagonal pairs, in closed form.
 
-    Inputs that are not Bell-diagonal are dephased in the Bell basis first
-    (the outcome record carries Bell-diagonal states by contract).
+    ``pair1`` is the control (kept) pair. Inputs that are not Bell-diagonal
+    are dephased in the Bell basis first (the outcome record carries
+    Bell-diagonal states by contract). The failure branch is omitted when
+    its probability is at most 1e-15.
     """
-    q1 = _coerce_bell_diagonal(pair1)
-    q2 = _coerce_bell_diagonal(pair2)
-    rho = np.kron(q1.to_density_matrix().matrix, q2.to_density_matrix().matrix)
-    u, projectors = _recurrence_operators()
-    rho = u @ rho @ u.conj().T
-
-    kept: dict[tuple[int, int], tuple[float, np.ndarray]] = {}
-    for idx, proj in enumerate(projectors):
-        outcome = (idx // 2, idx % 2)
-        sub = proj @ rho @ proj
-        p = float(np.trace(sub).real)
-        reduced = sub.reshape(2, 2, 2, 2, 2, 2, 2, 2)
-        reduced = np.einsum("abcdefcd->abef", reduced).reshape(4, 4)
-        kept[outcome] = (p, reduced)
-
-    p_succ = kept[(0, 0)][0] + kept[(1, 1)][0]
-    p_fail = kept[(0, 1)][0] + kept[(1, 0)][0]
-    succ_mat = (kept[(0, 0)][1] + kept[(1, 1)][1]) / p_succ
-    succ = BellDiagonalState.from_density_matrix(DensityMatrix(succ_mat, (2, 2)))
-    branches = [Branch(p_succ, True, succ)]
+    a, b, c, d = _coerce_bell_diagonal(pair1).coefficients
+    e, f, g, h = _coerce_bell_diagonal(pair2).coefficients
+    # Unnormalized kept-pair Bell weights; each sums to its branch probability.
+    succ = np.array([a * e + c * g, b * f + d * h, b * h + d * f, a * g + c * e])
+    fail = np.array([a * f + c * h, b * e + d * g, b * g + d * e, a * h + c * f])
+    p_succ, p_fail = float(succ.sum()), float(fail.sum())
+    if p_succ <= 0:
+        raise ValueError("the pairs never pass the parity check")
+    branches = [Branch(p_succ, True, BellDiagonalState(succ / p_succ))]
     if p_fail > 1e-15:
-        fail_mat = (kept[(0, 1)][1] + kept[(1, 0)][1]) / p_fail
-        fail = BellDiagonalState.from_density_matrix(DensityMatrix(fail_mat, (2, 2)))
-        branches.append(Branch(p_fail, False, fail))
+        branches.append(Branch(p_fail, False, BellDiagonalState(fail / p_fail)))
     return _assemble(branches)
 
 
@@ -192,6 +156,10 @@ class RoundSummary:
 
 
 def _round_summaries(input_state: BellDiagonalState, rounds: int, n_pairs: int) -> list[RoundSummary]:
+    if n_pairs < 1 or (n_pairs & (n_pairs - 1)) != 0:
+        raise ValueError(f"n_pairs must be a power of two, got {n_pairs}")
+    if rounds < 0 or 2**rounds > n_pairs:
+        raise ValueError(f"rounds {rounds} exceeds log2 of {n_pairs} pairs")
     summaries = []
     current = input_state
     for r in range(rounds):
@@ -209,21 +177,9 @@ def _round_summaries(input_state: BellDiagonalState, rounds: int, n_pairs: int) 
     return summaries
 
 
-def dejmps_recursive(n_pairs: int, input_state, rounds: int) -> DistillationOutcome:
-    """Pairwise recursive distillation over n identical pairs.
-
-    The branch record groups outcomes by the first failing round; the failed
-    node's exact kept-pair state is the branch state.
-    """
-    if n_pairs < 1 or (n_pairs & (n_pairs - 1)) != 0:
-        raise ValueError(f"n_pairs must be a power of two, got {n_pairs}")
-    if rounds < 0 or 2**rounds > n_pairs:
-        raise ValueError(f"rounds {rounds} exceeds log2 of {n_pairs} pairs")
-    state = _coerce_bell_diagonal(input_state)
-    if rounds == 0:
-        return _assemble([Branch(1.0, True, state)])
-
-    summaries = _round_summaries(state, rounds, n_pairs)
+def _first_failure_outcome(
+    state: BellDiagonalState, summaries: list[RoundSummary]
+) -> DistillationOutcome:
     branches: list[Branch] = []
     survive = 1.0
     for s in summaries:
@@ -231,8 +187,19 @@ def dejmps_recursive(n_pairs: int, input_state, rounds: int) -> DistillationOutc
         if s.failure_state is not None and survive * (1 - all_nodes) > 0:
             branches.append(Branch(survive * (1 - all_nodes), False, s.failure_state))
         survive *= all_nodes
-    branches.insert(0, Branch(survive, True, summaries[-1].success_state))
+    final = summaries[-1].success_state if summaries else state
+    branches.insert(0, Branch(survive, True, final))
     return _assemble(branches)
+
+
+def dejmps_recursive(n_pairs: int, input_state, rounds: int) -> DistillationOutcome:
+    """Pairwise recursive distillation over n identical pairs.
+
+    The branch record groups outcomes by the first failing round; the failed
+    node's exact kept-pair state is the branch state.
+    """
+    state = _coerce_bell_diagonal(input_state)
+    return _first_failure_outcome(state, _round_summaries(state, rounds, n_pairs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,8 +272,8 @@ def dejmps_monte_carlo(
     if run_count < 1:
         raise ValueError("run_count must be at least 1")
     state = _coerce_bell_diagonal(input_state)
-    exact = dejmps_recursive(n_pairs, state, rounds)
-    summaries = _round_summaries(state, rounds, n_pairs) if rounds else []
+    summaries = _round_summaries(state, rounds, n_pairs)
+    exact = _first_failure_outcome(state, summaries)
 
     if outcome_indices is None:
         outcome_indices = sample_branch_indices(
@@ -319,9 +286,9 @@ def dejmps_monte_carlo(
         (s.failure_state if s.failure_state is not None else s.success_state)
         for s in summaries
     ]
-    branch_states.append(summaries[-1].success_state if summaries else state)
-    branch_mats = np.array([s.to_density_matrix().matrix for s in branch_states])
-    fidelities = np.array([s.fidelity for s in branch_states])
+    branch_states.append(exact.selected_state)
+    branch_weights = np.array([s.coefficients for s in branch_states])
+    fidelities = branch_weights[:, 0]
 
     success_flags = (outcome_indices == len(summaries)).astype(float)
     run_fidelities = fidelities[outcome_indices]
@@ -339,9 +306,7 @@ def dejmps_monte_carlo(
         chunk = outcome_indices[bounds[b] : bounds[b + 1]]
         counts = np.bincount(chunk, minlength=len(branch_states)).astype(float)
         counts /= counts.sum()
-        mix = np.tensordot(counts, branch_mats, axes=1)
-        bd = bell_projection(DensityMatrix(mix, (2, 2)))
-        er_global.append(er_bell_diagonal(bd).value)
+        er_global.append(er_bell_diagonal(BellDiagonalState(counts @ branch_weights)).value)
         succ_share = counts[-1]
         er_selected.append(
             er_bell_diagonal(branch_states[-1]).value if succ_share > 0 else 0.0
@@ -386,7 +351,6 @@ def pes_pipeline(
     dd_cfg,
     use_u_pre: bool = False,
     sides: str = "one",
-    solver_cfg: SolverConfig | None = None,
 ) -> PESOutcome:
     """Shape, transmit, and report per-pair entanglement; fully deterministic.
 
@@ -405,7 +369,7 @@ def pes_pipeline(
         pair = apply(eff, pair, target=1)
         if sides == "two":
             pair = apply(eff, pair, target=0)
-        er = er_auto(pair, solver_cfg)
+        er = er_auto(pair)
         return PESOutcome(pair, eff, er, n_pairs, (er.value,))
 
     # Two-pair block (A1, B1, A2, B2); the shaping unitary acts on the two
@@ -423,7 +387,7 @@ def pes_pipeline(
     for pair_idx in (0, 1):
         keep = [0, 1] if pair_idx == 0 else [2, 3]
         reduced = partial_trace(block, keep=keep)
-        res = er_auto(reduced, solver_cfg)
+        res = er_auto(reduced)
         pair_values.append(res.value)
         if first_er is None:
             first_er = res

@@ -27,7 +27,6 @@ from entshape.protocols import dejmps_monte_carlo, dejmps_recursive
 from entshape.qstate import (
     DensityMatrix,
     bell_pair,
-    bell_projection,
     bell_state,
     partial_trace,
     random_density_matrix,
@@ -130,7 +129,7 @@ def test_criterion_5_separation_at_desk_scale():
         post_state = input_pair_state(bridge, geometry, 0.2)
         exact = dejmps_recursive(4, post_state, 2)
         mc = dejmps_monte_carlo(4, post_state, 2, 10_000, 515151)
-        post_er = er_bell_diagonal(bell_projection(exact.global_state)).value
+        post_er = er_bell_diagonal(exact.global_state).value
         pes_er = er_bell_diagonal(input_pair_state(bridge, geometry, 0.17)).value
         factors[f"{bridge}/{geometry}"] = pes_er / post_er if post_er > 0 else math.inf
         assert abs(mc.success_mean - exact.success_probability) <= 4 * max(mc.success_se, 1e-4)
@@ -155,7 +154,7 @@ def test_criterion_6_monte_carlo_matches_exact_tree():
         exact = mc.exact
         ps_gap = abs(mc.success_mean - exact.success_probability)
         ps_ok = ps_gap <= 3 * mc.success_se
-        fid_gap = abs(mc.fidelity_mean - bell_projection(exact.global_state).fidelity)
+        fid_gap = abs(mc.fidelity_mean - exact.global_state.fidelity)
         fid_ok = fid_gap <= 3 * mc.fidelity_se
         ok = ok and ps_ok and fid_ok
         details.append(f"F={fidelity}: ps gap {ps_gap:.4f}<=3se, fid gap {fid_gap:.4f}<=3se")

@@ -206,8 +206,6 @@ class TestCompose:
 class TestDDConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            DDConfig(pulse_count=0)
-        with pytest.raises(ValueError):
             DDConfig(pulse_frequency=0)
         with pytest.raises(ValueError):
             DDConfig(noise_spectral_density=-1)
@@ -264,7 +262,7 @@ class TestParametricCompression:
 
 class TestPulseAverage:
     def test_single_identity_pulse_is_original(self):
-        cfg = DDConfig(mode="pulse_average", pulse_count=1, pulse_set=(np.eye(2, dtype=complex),))
+        cfg = DDConfig(mode="pulse_average", pulse_set=(np.eye(2, dtype=complex),))
         out = dd_effective_pulse_average(depolarizing(0.2), cfg)
         rng = np.random.default_rng(31)
         for _ in range(5):

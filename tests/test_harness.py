@@ -7,8 +7,10 @@ import pytest
 
 from entshape.harness.claims import CLAIMS, claim
 from entshape.harness.config import (
+    DEFAULT_P_PRIME,
     MAX_RUN_COUNT,
     MAX_SWEEP_COUNT,
+    MAX_TRAJECTORY_SAMPLES,
     ConfigError,
     build_config,
     load_config_file,
@@ -85,13 +87,35 @@ class TestConfig:
         build_config("er", {"convention": "oracle", "er_state": "bell", "er_param": 5.0})
 
     def test_non_finite_values_rejected(self):
-        for key in ("er_param", "dd_noise_density", "t_total", "p_prime"):
+        for key in ("er_param", "sweep_stop", "t_total", "p_prime"):
             for bad in (float("nan"), float("inf")):
                 with pytest.raises(ConfigError, match="not finite"):
                     build_config("selfcheck", {key: bad})
 
+    def test_trajectory_sample_cap(self):
+        # Validation only: none of these grids is run.
+        build_config("flow", {"convention": "oracle", "t_total": MAX_TRAJECTORY_SAMPLES - 1, "t_step": 1.0})
+        for overrides in (
+            {"t_total": MAX_TRAJECTORY_SAMPLES, "t_step": 1.0},
+            {"t_total": 1e6, "t_step": 1e-6},
+        ):
+            with pytest.raises(ConfigError, match="trajectory samples"):
+                build_config("flow", {"convention": "oracle", **overrides})
+
+    def test_flow_needs_compression(self):
+        with pytest.raises(ConfigError, match="p_prime"):
+            build_config("flow", {"convention": "oracle", "p": DEFAULT_P_PRIME / 2})
+        with pytest.raises(ConfigError, match="p_prime"):
+            build_config("flow", {"convention": "oracle", "p_prime": 0.5})
+        build_config("flow", {"convention": "oracle", "p": DEFAULT_P_PRIME})
+        # Only flow compares a compressed trajectory against the raw one.
+        build_config("table1", {"convention": "oracle", "p_prime": 0.5})
+
     def test_removed_keys_rejected(self):
-        for key in ("workers", "ad_grid", "ad_slices"):
+        for key in (
+            "workers", "ad_grid", "ad_slices",
+            "dd_noise_density", "dd_pulse_count", "dd_pulse_frequency",
+        ):
             with pytest.raises(ConfigError, match="unknown"):
                 parse_value(key, "1")
 
@@ -203,7 +227,7 @@ class TestExperiments:
         # repr round-trip: parsing reproduces the in-memory samples exactly
         from entshape.dynamics import trajectory
 
-        post, _ = trajectory(cfg.p, 0.17, 1.0, cfg.t_total, cfg.t_step)
+        post, _ = trajectory(cfg.p, DEFAULT_P_PRIME, 1.0, cfg.t_total, cfg.t_step)
         for line, sample in zip(lines[1:], post.samples):
             parsed = tuple(float(x) for x in line.split(","))
             assert parsed == sample
@@ -314,3 +338,20 @@ class TestCLI:
         proc = cli("sweep", "--convention", "oracle", "--config", str(config), "--out", str(tmp_path))
         assert proc.returncode == 2, proc.stderr
         assert "sweep grid" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("setting", ["p = 0.1", "p_prime = 0.5"])
+    def test_flow_without_compression_exits_two(self, tmp_path, setting):
+        config = tmp_path / "flow.cfg"
+        config.write_text(setting + "\n")
+        proc = cli("flow", "--convention", "oracle", "--config", str(config), "--out", str(tmp_path))
+        assert proc.returncode == 2, proc.stderr
+        assert "p_prime" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_huge_trajectory_exits_two(self, tmp_path):
+        # One sample past the cap, so a missing check would cost a second,
+        # not an allocation of the size the cap guards against.
+        config = tmp_path / "huge.cfg"
+        config.write_text(f"t_total = {MAX_TRAJECTORY_SAMPLES}\nt_step = 1\n")
+        proc = cli("flow", "--convention", "oracle", "--config", str(config), "--out", str(tmp_path))
+        assert proc.returncode == 2, proc.stderr
+        assert "trajectory samples" in proc.stderr and "Traceback" not in proc.stderr

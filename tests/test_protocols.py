@@ -1,7 +1,10 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entshape.channels import DDConfig, amplitude_damping, apply, depolarizing
 from entshape.entanglement import er_auto, er_bell_diagonal, er_numeric
@@ -18,43 +21,94 @@ from entshape.protocols import (
     u_pre,
 )
 from entshape.qstate import (
+    I2,
     BellDiagonalState,
     DensityMatrix,
+    X,
     bell_pair,
-    bell_projection,
     werner,
     werner_from_channel,
 )
 
 
-def recurrence_oracle(q, r=None):
-    """Independent closed-form single-step map for Bell-diagonal inputs.
-
-    Derived by tracking (phase, parity) labels through the rotation (which
-    swaps the two odd-phase Bell states), the bilateral CNOT, and the parity
-    measurement. Success keeps equal parities. ``r`` defaults to ``q``
-    (identical pairs); distinct control and target pairs are supported.
-    """
-    a, b, c, d = q
-    e, f, g, h = r if r is not None else q
-    n = (a + c) * (e + g) + (b + d) * (f + h)
-    success = (
-        (a * e + c * g) / n,
-        (b * f + d * h) / n,
-        (b * h + d * f) / n,
-        (a * g + c * e) / n,
+def _cnot(control, target, n):
+    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
+    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
+    lo = reduce(np.kron, [p0 if i == control else I2 for i in range(n)])
+    hi = reduce(
+        np.kron, [p1 if i == control else (X if i == target else I2) for i in range(n)]
     )
-    nf = (a + c) * (f + h) + (b + d) * (e + g)
-    if nf > 0:
-        failure = (
-            (a * f + c * h) / nf,
-            (b * e + d * g) / nf,
-            (b * g + d * e) / nf,
-            (a * h + c * f) / nf,
-        )
-    else:
-        failure = None
-    return n, success, failure
+    return lo + hi
+
+
+def recurrence_operators():
+    """(pre-measurement unitary, projectors for Z outcomes 00/01/10/11 on pair 2)
+    on the register (A1, B1, A2, B2)."""
+    rx_plus = (I2 - 1j * X) / math.sqrt(2)
+    rx_minus = (I2 + 1j * X) / math.sqrt(2)
+    rot = reduce(np.kron, [rx_plus, rx_minus, rx_plus, rx_minus])
+    u = _cnot(1, 3, 4) @ _cnot(0, 2, 4) @ rot
+    kets = (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
+    projectors = []
+    for a in (0, 1):
+        for b in (0, 1):
+            pa = np.outer(kets[a], kets[a].conj())
+            pb = np.outer(kets[b], kets[b].conj())
+            projectors.append(reduce(np.kron, [I2, I2, pa, pb]))
+    return u, projectors
+
+
+def simulate_recurrence(q, r):
+    """Reference for one recurrence step: 16x16 density-matrix simulation.
+
+    Rotates, applies the bilateral CNOT, projects pair 2 on each Z outcome
+    and traces it out. Returns (p_success, success weights, p_failure,
+    failure weights or None when p_failure <= 1e-15); the kept-pair states
+    must be Bell-diagonal to 1e-10.
+    """
+    rho = np.kron(
+        BellDiagonalState(q).to_density_matrix().matrix,
+        BellDiagonalState(r).to_density_matrix().matrix,
+    )
+    u, projectors = recurrence_operators()
+    rho = u @ rho @ u.conj().T
+    kept = []
+    for proj in projectors:
+        sub = (proj @ rho @ proj).reshape(2, 2, 2, 2, 2, 2, 2, 2)
+        kept.append(np.einsum("abcdefcd->abef", sub).reshape(4, 4))
+
+    def branch(mats):
+        mat = mats[0] + mats[1]
+        p = float(np.trace(mat).real)
+        if p <= 1e-15:
+            return p, None
+        state = BellDiagonalState.from_density_matrix(DensityMatrix(mat / p, (2, 2)))
+        return p, np.array(state.coefficients)
+
+    p_succ, success = branch((kept[0], kept[3]))
+    p_fail, failure = branch((kept[1], kept[2]))
+    return p_succ, success, p_fail, failure
+
+
+def check_against_simulation(out, q, r):
+    p_succ, success, p_fail, failure = simulate_recurrence(q, r)
+    assert out.success_probability == pytest.approx(p_succ, abs=1e-12)
+    assert np.abs(np.array(out.selected_state.coefficients) - success).max() < 1e-10
+    fail_branch = next((b for b in out.branches if not b.success), None)
+    assert (fail_branch is None) == (failure is None)
+    if failure is not None:
+        assert fail_branch.probability == pytest.approx(p_fail, abs=1e-12)
+        assert np.abs(np.array(fail_branch.state.coefficients) - failure).max() < 1e-10
+
+
+# Bell weights with exact zeros; nonzero weights are at least 1/400 after
+# normalization, so the reference's rounding stays far below 1e-10 even after
+# conditioning on the least likely branch.
+bell_weights = (
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-2, 1.0)), min_size=4, max_size=4)
+    .filter(lambda w: sum(w) > 0)
+    .map(lambda w: tuple(np.array(w) / sum(w)))
+)
 
 
 class TestUPre:
@@ -96,12 +150,7 @@ class TestBranchMap:
         for _ in range(10):
             q = rng.dirichlet(np.ones(4))
             state = BellDiagonalState(tuple(q))
-            out = dejmps_branch_map(state, state)
-            n, success, failure = recurrence_oracle(q)
-            assert out.success_probability == pytest.approx(n, abs=1e-12)
-            assert np.abs(np.array(out.selected_state.coefficients) - success).max() < 1e-10
-            fail_branch = next(b for b in out.branches if not b.success)
-            assert np.abs(np.array(fail_branch.state.coefficients) - failure).max() < 1e-10
+            check_against_simulation(dejmps_branch_map(state, state), q, q)
 
     def test_matches_independent_recurrence_distinct_pairs(self):
         rng = np.random.default_rng(14)
@@ -109,20 +158,14 @@ class TestBranchMap:
             q = rng.dirichlet(np.ones(4))
             r = rng.dirichlet(np.ones(4))
             out = dejmps_branch_map(BellDiagonalState(tuple(q)), BellDiagonalState(tuple(r)))
-            n, success, failure = recurrence_oracle(q, r)
-            assert out.success_probability == pytest.approx(n, abs=1e-12)
-            assert np.abs(np.array(out.selected_state.coefficients) - success).max() < 1e-10
-            fail_branch = next(b for b in out.branches if not b.success)
-            assert np.abs(np.array(fail_branch.state.coefficients) - failure).max() < 1e-10
+            check_against_simulation(out, q, r)
 
     def test_equal_outcome_states_coincide(self):
         # The 00 and 11 projections give the same kept-pair state, which is
         # why success is a single branch.
-        from entshape.protocols import _recurrence_operators
-
         state = werner_from_channel(0.3).to_density_matrix().matrix
         rho = np.kron(state, state)
-        u, projectors = _recurrence_operators()
+        u, projectors = recurrence_operators()
         rho = u @ rho @ u.conj().T
         kept = []
         for proj in (projectors[0], projectors[3]):
@@ -149,6 +192,22 @@ class TestBranchMap:
         assert 0 < out.success_probability < 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(q=bell_weights, r=bell_weights)
+@example(q=(1.0, 0.0, 0.0, 0.0), r=(0.0, 0.0, 1.0, 0.0))  # pure Bell inputs, one branch
+@example(q=(0.7, 0.0, 0.3, 0.0), r=(0.4, 0.0, 0.6, 0.0))  # p_fail = 0 on mixed inputs
+@example(q=(1.0, 0.0, 0.0, 0.0), r=(0.0, 1.0, 0.0, 0.0))  # never passes the parity check
+def test_branch_map_matches_simulation(q, r):
+    pair1, pair2 = BellDiagonalState(q), BellDiagonalState(r)
+    if simulate_recurrence(q, r)[0] <= 1e-15:
+        with pytest.raises(ValueError, match="parity"):
+            dejmps_branch_map(pair1, pair2)
+        return
+    out = dejmps_branch_map(pair1, pair2)
+    assert sum(b.probability for b in out.branches) == pytest.approx(1.0, abs=1e-12)
+    check_against_simulation(out, q, r)
+
+
 class TestRecursive:
     def test_zero_rounds(self):
         state = werner_from_channel(0.2)
@@ -163,10 +222,10 @@ class TestRecursive:
             dejmps_recursive(4, werner(0.8), 3)
 
     def test_two_round_success_probability(self):
-        # n1^2 * n2 with the per-round closed forms.
+        # n1^2 * n2 with the per-round step from the reference simulation.
         state = werner_from_channel(0.2)
-        n1, s1, _ = recurrence_oracle(state.coefficients)
-        n2, s2, _ = recurrence_oracle(s1)
+        n1, s1, _, _ = simulate_recurrence(state.coefficients, state.coefficients)
+        n2, s2, _, _ = simulate_recurrence(s1, s1)
         out = dejmps_recursive(4, state, 2)
         assert out.success_probability == pytest.approx(n1 * n1 * n2, abs=1e-12)
         assert out.selected_state.fidelity == pytest.approx(s2[0], abs=1e-12)
@@ -186,13 +245,13 @@ class TestRecursive:
     def test_global_state_is_branch_mixture(self):
         out = dejmps_recursive(4, werner_from_channel(0.2), 2)
         mix = sum(b.probability * b.state.to_density_matrix().matrix for b in out.branches)
-        assert np.abs(mix - out.global_state.matrix).max() < 1e-10
+        assert np.abs(mix - out.global_state.to_density_matrix().matrix).max() < 1e-10
 
     def test_convexity_bound_on_global(self):
         # Global entanglement cannot exceed the branch average, hence also
         # p_s alone when every branch value is at most one bit.
         out = dejmps_recursive(4, werner_from_channel(0.2), 2)
-        global_er = er_bell_diagonal(bell_projection(out.global_state)).value
+        global_er = er_bell_diagonal(out.global_state).value
         branch_avg = sum(
             b.probability * er_bell_diagonal(b.state).value for b in out.branches
         )
@@ -202,7 +261,9 @@ class TestRecursive:
     def test_placeholder_trash_variant(self):
         out = dejmps_recursive(4, werner_from_channel(0.2), 2)
         flat = out.global_with_placeholder_trash()
-        assert abs(np.trace(flat.matrix).real - 1) < 1e-10
+        p_fail = 1 - out.success_probability
+        expected = out.success_probability * np.array(out.selected_state.coefficients) + p_fail / 4
+        assert np.abs(np.array(flat.coefficients) - expected).max() < 1e-12
 
     def test_fidelity_strictly_improves_along_werner_grid(self):
         for f in np.linspace(0.55, 0.95, 9):
@@ -214,14 +275,13 @@ class TestRecursive:
 class TestOutcomeInvariants:
     def test_inconsistent_global_rejected(self):
         from entshape.protocols import Branch
-        from entshape.qstate import DensityMatrix
 
         good = BellDiagonalState((1, 0, 0, 0))
         with pytest.raises(ValueError, match="mixture"):
             DistillationOutcome(
                 (Branch(1.0, True, good),),
                 1.0,
-                DensityMatrix.maximally_mixed((2, 2)),
+                BellDiagonalState((0.25, 0.25, 0.25, 0.25)),
                 good,
             )
 
@@ -233,7 +293,7 @@ class TestOutcomeInvariants:
             DistillationOutcome(
                 (Branch(1.0, True, good),),
                 0.5,
-                good.to_density_matrix(),
+                good,
                 good,
             )
 
@@ -270,13 +330,13 @@ class TestMonteCarlo:
         mc = dejmps_monte_carlo(4, state, 2, 10_000, 2024)
         exact = mc.exact
         assert abs(mc.success_mean - exact.success_probability) <= 3 * mc.success_se
-        exact_fid = bell_projection(exact.global_state).fidelity
+        exact_fid = exact.global_state.fidelity
         assert abs(mc.fidelity_mean - exact_fid) <= 3 * mc.fidelity_se
 
     def test_er_estimates_track_exact(self):
         state = werner_from_channel(0.2)
         mc = dejmps_monte_carlo(4, state, 2, 10_000, 7)
-        exact_global = er_bell_diagonal(bell_projection(mc.exact.global_state)).value
+        exact_global = er_bell_diagonal(mc.exact.global_state).value
         assert abs(mc.er_global_mean - exact_global) <= max(3 * mc.er_global_std, 5e-3)
         assert mc.er_selected_mean == pytest.approx(
             er_bell_diagonal(mc.exact.selected_state).value, abs=1e-9
