@@ -6,20 +6,20 @@ Closed forms:
 * Bell-diagonal states with largest weight lam: 0 for lam <= 1/2, else
   1 - H2(lam), with the minimizing separable state known explicitly.
 
-For everything else, :func:`er_numeric` returns an upper bound together with
-an explicit separable certificate whose relative entropy is the reported
-value. It has two paths:
+For everything else, :func:`er_numeric` returns a certified interval
+[``lower``, ``value``]: ``value`` is the relative entropy to an explicit
+separable certificate, ``lower`` the Frank-Wolfe bound (Jaggi 2013) at that
+certificate with an exact product-state maximum, and ``converged`` means
+value - lower <= CERTIFIED_GAP (1e-9 bits). It has two paths:
 
 * X-state reduction, for inputs whose only coherence is between |00> and
   |11> (every damped, dephased or depolarized Bell pair the harness builds).
   The optimum is itself an X state, so the search shrinks to four numbers
-  and is solved by Newton steps. The result carries a certified Frank-Wolfe
-  lower bound ``lower`` (Jaggi 2013), and ``converged`` means
-  value - lower <= 1e-9 bits.
-* General fallback, for every other input: Frank-Wolfe-style alternating
-  minimization over mixtures of product states. It gives no lower bound,
-  and ``converged`` there means a patience counter and a local product-state
-  search ran out of progress, not a proven gap.
+  and is solved by Newton steps; the certificate has at most 5 atoms.
+* PPT barrier, for every other input and for an X state whose reduced
+  interval does not close: separable equals PPT for two qubits, so Newton
+  steps on log-det barriers solve the convex program directly, and the
+  optimum splits into at most 4 product states (Wootters 1998).
 
 Two scalar "bridge" helpers exist because the reproduction targets use an
 inconsistent Werner parameterization: :func:`er_bell_fidelity` evaluates
@@ -45,8 +45,6 @@ from .qstate import (
 
 CLOSED_FORM = "closed_form"
 NUMERIC_UPPER_BOUND = "numeric_upper_bound"
-
-_FLOOR = 1e-9  # mixing weight of I/4 folded into every numeric certificate
 
 
 def _ket(theta: float, phi: float) -> np.ndarray:
@@ -98,8 +96,8 @@ class SeparableAnsatz:
 class ERResult:
     """Relative entropy of entanglement value, in bits.
 
-    ``lower`` is a certified lower bound where the solver path proves one
-    (the X-state path); ``None`` elsewhere.
+    ``lower`` is a certified lower bound on every numeric result and
+    ``None`` on closed forms, which are exact.
     """
 
     value: float
@@ -189,264 +187,223 @@ def negativity(rho: DensityMatrix) -> float:
     return float(max(0.0, -vals[vals < 0].sum()))
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Settings for the general numeric solver; the X-state path takes none."""
-
-    ansatz_size: int = 16
-    max_iterations: int = 5000
-    improvement_tol: float = 1e-7
-    patience: int = 25
-    weight_steps: int = 20
-    seed: int = 0
-
-
 def _log_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Frechet derivative of Tr[rho ln sigma]: G with d/dt Tr[rho ln(sigma+tD)] = Tr[D G]."""
     svals, svecs = np.linalg.eigh(sigma)
-    svals = np.clip(svals, 1e-300, None)
-    r = svecs.conj().T @ rho @ svecs
-    logs = np.log(svals)
-    denom = svals[:, None] - svals[None, :]
-    num = logs[:, None] - logs[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.where(np.abs(denom) > 1e-14, num / denom, 1.0 / svals[:, None])
-    g = svecs @ (f * r) @ svecs.conj().T
+    f1 = _ln_divided_differences(np.clip(svals, 1e-300, None))[0]
+    g = svecs @ (f1 * (svecs.conj().T @ rho @ svecs)) @ svecs.conj().T
     return 0.5 * (g + g.conj().T)
 
 
-def _best_product_state(g: np.ndarray, starts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, float]:
-    """Maximize <a,b|G|a,b> by alternating local eigensolves from several starts."""
-    g4 = g.reshape(2, 2, 2, 2)
-    best = None
-    for a, b in starts:
-        for _ in range(12):
-            ma = np.einsum("j,ijkl,l->ik", b.conj(), g4, b)
-            vals, vecs = np.linalg.eigh(ma)
-            a_new = vecs[:, -1]
-            mb = np.einsum("i,ijkl,k->jl", a_new.conj(), g4, a_new)
-            vals, vecs = np.linalg.eigh(mb)
-            b_new = vecs[:, -1]
-            if abs(abs(np.vdot(a_new, a)) - 1) < 1e-12 and abs(abs(np.vdot(b_new, b)) - 1) < 1e-12:
-                a, b = a_new, b_new
-                break
-            a, b = a_new, b_new
-        val = float(np.real(np.einsum("i,j,ijkl,k,l->", a.conj(), b.conj(), g4, a, b)))
-        if best is None or val > best[2]:
-            best = (a, b, val)
-    return best
-
-
-_AXIS_KETS = [
-    np.array([1, 0], dtype=complex),
-    np.array([0, 1], dtype=complex),
-    np.array([1, 1], dtype=complex) / math.sqrt(2),
-    np.array([1, -1], dtype=complex) / math.sqrt(2),
-    np.array([1, 1j], dtype=complex) / math.sqrt(2),
-    np.array([1, -1j], dtype=complex) / math.sqrt(2),
-]
-
-
-def _initial_atoms(rng: np.random.Generator, size: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    # 12 axis products span all separable Bell-diagonal states; extras are random.
-    atoms = [
-        (_AXIS_KETS[0], _AXIS_KETS[0]),
-        (_AXIS_KETS[0], _AXIS_KETS[1]),
-        (_AXIS_KETS[1], _AXIS_KETS[0]),
-        (_AXIS_KETS[1], _AXIS_KETS[1]),
-        (_AXIS_KETS[2], _AXIS_KETS[2]),
-        (_AXIS_KETS[2], _AXIS_KETS[3]),
-        (_AXIS_KETS[3], _AXIS_KETS[2]),
-        (_AXIS_KETS[3], _AXIS_KETS[3]),
-        (_AXIS_KETS[4], _AXIS_KETS[4]),
-        (_AXIS_KETS[4], _AXIS_KETS[5]),
-        (_AXIS_KETS[5], _AXIS_KETS[4]),
-        (_AXIS_KETS[5], _AXIS_KETS[5]),
-    ]
-    while len(atoms) < size:
-        a = rng.normal(size=2) + 1j * rng.normal(size=2)
-        b = rng.normal(size=2) + 1j * rng.normal(size=2)
-        atoms.append((a / np.linalg.norm(a), b / np.linalg.norm(b)))
-    return atoms[:size]
-
-
-def _projectors(atoms: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    mats = []
-    for a, b in atoms:
-        v = np.kron(a, b)
-        mats.append(np.outer(v, v.conj()))
-    return np.array(mats)
-
-
-def _entropy_term_bits(rho_mat: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh(rho_mat)
-    vals = vals[vals > 1e-15]
-    return float(np.sum(vals * np.log2(vals)))
-
-
-def _cross_term_bits(rho_mat: np.ndarray, sigma_mat: np.ndarray) -> float:
-    svals, svecs = np.linalg.eigh(sigma_mat)
-    svals = np.clip(svals, 1e-300, None)
-    diag = np.einsum("ji,jk,ki->i", svecs.conj(), rho_mat, svecs).real
-    return float(np.sum(diag * np.log2(svals)))
-
-
-def er_numeric(rho: DensityMatrix, cfg: SolverConfig | None = None) -> ERResult:
-    """Upper bound on the relative entropy of entanglement of a two-qubit state.
+def er_numeric(rho: DensityMatrix) -> ERResult:
+    """Certified interval [lower, value] for the relative entropy of entanglement of a qubit pair.
 
     X-shaped inputs (no entry above 1e-12 outside the diagonal and the
-    |00><11| coherence) take the reduced solver, which returns a certified
-    interval and ignores ``cfg``; every other input takes the general
-    Frank-Wolfe solver. Non-convergence is reported through ``converged``,
-    never silently.
+    |00><11| coherence) take the reduced solver; every other input, and an
+    X-shaped one whose interval the reduced solver cannot close, takes the
+    PPT barrier solver. ``converged`` means value - lower <= CERTIFIED_GAP
+    bits; a wider interval is reported, never hidden.
     """
     if rho.dims != (2, 2):
         raise ValueError(f"numeric minimization expects a qubit pair, got dims {rho.dims}")
     if np.abs(rho.matrix[~_X_PATTERN]).max() <= X_STATE_TOL:
-        return _er_x_state(rho)
-    return _er_frank_wolfe(rho, cfg or SolverConfig())
+        result = _er_x_state(rho)
+        if result.converged:
+            return result
+    return _er_ppt_barrier(rho)
 
 
-def _er_frank_wolfe(rho: DensityMatrix, cfg: SolverConfig) -> ERResult:
-    """General solver over mixtures of product states.
+# General path. For two qubits separable equals PPT (Horodecki 1996), so
+#   E_R = min over sigma >= 0 with sigma^{T_B} >= 0 of -Tr[rho ln sigma] + Tr sigma,
+# plus Tr[rho ln rho] - 1 (nats); the minimum over the cone has Tr sigma = 1.
+# sigma = (1/4) sum_k s_k B_k in the Pauli products B_k = P_i (x) P_j, k = 4i + j,
+# and the two PSD constraints become log-det barriers, so each stage minimizes
+#   F_t(s) = t (-Tr[rho ln sigma] + Tr sigma) - ln det sigma - ln det sigma^{T_B}
+# by Newton steps, with the exact Hessian from divided differences of ln.
 
-    Alternates an exact-direction convex weight update (multiplicative, with
-    a damping safeguard that keeps the objective monotone) with product-state
-    refinement and atom replacement driven by the gradient of the relative
-    entropy. Deterministic for a fixed config seed. ``converged`` comes from
-    a local product-state search and a patience counter, not from a proof.
+CERTIFIED_GAP = 1e-9  # value - lower, in bits, below which a numeric result reports converged
+_PPT_MAX_STEPS = 500  # Newton steps over all barrier stages
+_BARRIER_GAP = 1e-10  # the last stage has 8 / t below this, in nats
+_PAULI = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.diag([1, -1]).astype(complex),
+)
+_BASIS = np.array([np.kron(p, q) for p in _PAULI for q in _PAULI])
+_PT_SIGN = np.array([-1.0 if k % 4 == 2 else 1.0 for k in range(16)])  # B_k^{T_B} = +-B_k
+_TRIPLES = np.sort(np.indices((4, 4, 4)).reshape(3, -1).T, axis=1).T  # each (i, m, j), sorted
+_SPIN_FLIP = np.kron(_PAULI[2], _PAULI[2]).real
+_HADAMARD = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2
+
+
+def _ln_divided_differences(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and second divided differences of ln at ascending eigenvalues lam."""
+    gap = lam[:, None] - lam[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = gap / lam[None, :]
+        f1 = np.where(np.abs(ratio) < 0.5, np.log1p(ratio), np.log(lam)[:, None] - np.log(lam)[None, :]) / gap
+        f1 = np.where(gap == 0, 1 / lam[None, :], f1)
+        lo, mid, hi = lam[_TRIPLES]
+        split = (f1[_TRIPLES[2], _TRIPLES[1]] - f1[_TRIPLES[1], _TRIPLES[0]]) / (hi - lo)
+        # Nearly equal triples: Taylor series about the mean, -1/(2m^2) - sum(dev^2)/(8m^4).
+        mean = (lo + mid + hi) / 3
+        taylor = -0.5 / mean**2 - ((lo - mean) ** 2 + (mid - mean) ** 2 + (hi - mean) ** 2) / (8 * mean**4)
+    return f1, np.where(hi - lo <= 1e-4 * hi, taylor, split).reshape(4, 4, 4)
+
+
+def _barrier(s: np.ndarray, rho: np.ndarray, t: float) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """F_t, its gradient and its Hessian in the Pauli coordinates s; infinite outside the cone."""
+    lam, vecs = np.linalg.eigh(np.tensordot(s, _BASIS, 1) / 4)
+    nu, pt_vecs = np.linalg.eigh(np.tensordot(s * _PT_SIGN, _BASIS, 1) / 4)
+    if not min(lam[0], nu[0]) > 0:
+        return math.inf, None, None
+    r = vecs.conj().T @ rho @ vecs
+    logs = np.log(lam)
+    value = t * (lam.sum() - r.diagonal().real @ logs) - logs.sum() - np.log(nu).sum()
+    f1, f2 = _ln_divided_differences(lam)
+    b = vecs.conj().T @ _BASIS @ vecs  # B_k in the eigenbasis of sigma
+    pt_b = pt_vecs.conj().T @ _BASIS @ pt_vecs
+    grad = -np.einsum("ij,kji->k", t * f1 * r, b).real - np.einsum("kii,i->k", b, 1 / lam).real
+    grad -= _PT_SIGN * np.einsum("kii,i->k", pt_b, 1 / nu).real
+    grad[0] += 4 * t
+    # Second derivative of -t Tr[rho ln sigma] (Daleckii-Krein) and of both log-dets.
+    weighted = np.einsum("imj,lmj->lim", f2 * r.T[:, None, :], b).reshape(16, 16)
+    half = b.reshape(16, 16) @ weighted.T  # sum over i, m, j of f2[i,m,j] r[j,i] b_k[i,m] b_l[m,j]
+    scaled = (b / np.sqrt(np.outer(lam, lam))).reshape(16, 16)
+    pt_scaled = (pt_b / np.sqrt(np.outer(nu, nu))).reshape(16, 16) * _PT_SIGN[:, None]
+    hess = -t * (half + half.T).real + (scaled @ scaled.conj().T).real + (pt_scaled @ pt_scaled.conj().T).real
+    return value, grad / 4, hess / 16
+
+
+def _ppt_newton(rho: np.ndarray) -> tuple[np.ndarray, int]:
+    """Barrier stages t = 1, 8, 64, ... until 8/t <= _BARRIER_GAP; returns (sigma, Newton steps).
+
+    While the Newton decrement is at least 0.1 a step must pass an Armijo
+    test; below that F_t (of size t) rounds above the decrease, so every
+    feasible step is taken. A stage ends when the decrement stops shrinking.
+    Steps are least-squares solutions of the diagonally scaled Newton system:
+    in late stages the partial-transpose barrier outweighs the rest of the
+    Hessian by up to 1e17, which leaves it singular to rounding on symmetric
+    inputs such as the singlet, and the minimum-norm step stays finite there.
     """
-    rng = np.random.default_rng(cfg.seed)
-    eye4 = np.eye(4, dtype=complex) / 4
-    rho_entropy = _entropy_term_bits(rho.matrix)
-
-    atoms = _initial_atoms(rng, cfg.ansatz_size)
-    projs = _projectors(atoms)
-    weights = np.full(len(atoms), 1.0 / len(atoms))
-
-    def sigma_of(w: np.ndarray) -> np.ndarray:
-        raw = np.tensordot(w, projs, axes=1)
-        return (1 - _FLOOR) * raw + _FLOOR * eye4
-
-    def value_of(sigma_mat: np.ndarray) -> float:
-        return rho_entropy - _cross_term_bits(rho.matrix, sigma_mat)
-
-    value = value_of(sigma_of(weights))
-    best_value, best_weights, best_atoms = value, weights.copy(), list(atoms)
-    stale = 0
-    iterations = 0
-    converged = False
-
-    for outer in range(cfg.max_iterations):
-        iterations = outer + 1
-        round_start = best_value
-
-        # Convex weight update: multiplicative ascent on Tr[rho log sigma(w)].
-        # The bare update is monotone in practice; a safety re-check reverts
-        # the whole block and falls back to damped steps if it ever is not.
-        saved_weights, saved_value = weights.copy(), value
-        for _ in range(cfg.weight_steps):
-            g = _log_gradient(rho.matrix, sigma_of(weights))
-            scores = np.clip(np.einsum("kij,ji->k", projs, g).real, 0.0, None)
-            if scores.sum() <= 0:
+    s, t, steps = np.eye(1, 16).ravel(), 1.0, 0
+    while steps < _PPT_MAX_STEPS:
+        value, grad, hess = _barrier(s, rho, t)
+        last = math.inf
+        while steps < _PPT_MAX_STEPS:
+            scale = 1 / np.sqrt(np.diag(hess))
+            step = -scale * np.linalg.lstsq(hess * np.outer(scale, scale), scale * grad, rcond=None)[0]
+            decrement = -grad @ step
+            if not decrement > 0 or (decrement < 0.1 and decrement >= last):
                 break
-            weights = weights * scores
-            weights /= weights.sum()
-        value = value_of(sigma_of(weights))
-        if value > saved_value + 1e-15:
-            weights, value = saved_weights, saved_value
-            for _ in range(cfg.weight_steps):
-                g = _log_gradient(rho.matrix, sigma_of(weights))
-                scores = np.clip(np.einsum("kij,ji->k", projs, g).real, 0.0, None)
-                if scores.sum() <= 0:
+            last, length = decrement, 1.0
+            while length > 1e-12:
+                trial = _barrier(s + length * step, rho, t)
+                if trial[1] is not None and (decrement < 0.1 or trial[0] <= value - 0.25 * length * decrement):
                     break
-                candidate = weights * scores
-                candidate /= candidate.sum()
-                step = 1.0
-                while step > 1e-4:
-                    trial = (1 - step) * weights + step * candidate
-                    trial_value = value_of(sigma_of(trial))
-                    if trial_value <= value + 1e-15:
-                        weights, value = trial, trial_value
-                        break
-                    step *= 0.5
-                else:
-                    break
-
-        # Atom step: bring in the product state the gradient likes most,
-        # replacing the lowest-weight atom when that lowers the objective.
-        # The gradient is recomputed at the current iterate so the gap test
-        # below certifies this sigma, not a stale one.
-        g = _log_gradient(rho.matrix, sigma_of(weights))
-        order = np.argsort(weights)[::-1]
-        starts = [(atoms[i][0].copy(), atoms[i][1].copy()) for i in order[:4]]
-        ra = rng.normal(size=2) + 1j * rng.normal(size=2)
-        rb = rng.normal(size=2) + 1j * rng.normal(size=2)
-        starts.append((ra / np.linalg.norm(ra), rb / np.linalg.norm(rb)))
-        a_new, b_new, score = _best_product_state(g, starts)
-        # At the optimum over all separable states, max <ab|G|ab> = Tr[sigma G] = 1.
-        gap = score - 1.0
-        if gap > 1e-10:
-            v = np.kron(a_new, b_new)
-            p_new = np.outer(v, v.conj())
-            min_slot = int(np.argmin(weights))
-            # Replace a near-dead atom when one exists; otherwise grow the
-            # set transiently (pruned below) so loaded atoms are not evicted.
-            replace_slot = min_slot if weights[min_slot] < 1e-6 else None
-            for t in (0.5, 0.25, 0.1, 0.02, 5e-3, 1e-3, 2e-4):
-                if replace_slot is not None:
-                    trial_projs = projs.copy()
-                    trial_projs[replace_slot] = p_new
-                    trial_w = weights.copy()
-                    trial_w *= 1 - t
-                    trial_w[replace_slot] += t
-                else:
-                    trial_projs = np.concatenate([projs, p_new[None]], axis=0)
-                    trial_w = np.concatenate([weights * (1 - t), [t]])
-                trial_w /= trial_w.sum()
-                raw = np.tensordot(trial_w, trial_projs, axes=1)
-                trial_value = value_of((1 - _FLOOR) * raw + _FLOOR * eye4)
-                if trial_value < value:
-                    if replace_slot is not None:
-                        atoms[replace_slot] = (a_new, b_new)
-                    else:
-                        atoms.append((a_new, b_new))
-                    projs, weights, value = trial_projs, trial_w, trial_value
-                    break
-
-        # Prune dead weight back toward the configured ansatz size.
-        if len(atoms) > cfg.ansatz_size:
-            keep = weights > 1e-9
-            keep[np.argsort(weights)[::-1][: cfg.ansatz_size]] = True
-            if keep.sum() < len(atoms):
-                atoms = [a for a, k in zip(atoms, keep) if k]
-                projs = projs[keep]
-                weights = weights[keep] / weights[keep].sum()
-                value = value_of(sigma_of(weights))
-
-        if value < best_value:
-            best_value, best_weights, best_atoms = value, weights.copy(), list(atoms)
-
-        if gap <= 1e-10:
-            converged = True
+                length /= 2
+            else:
+                break
+            s, (value, grad, hess), steps = s + length * step, trial, steps + 1
+        if 8 / t <= _BARRIER_GAP:
             break
-        stale = stale + 1 if round_start - best_value < cfg.improvement_tol else 0
-        if stale >= cfg.patience:
-            converged = True
-            break
+        t *= 8
+    sigma = np.tensordot(s, _BASIS, 1) / 4
+    return sigma / s[0], steps
 
-    # Fold the I/4 floor into the certificate so its assembled state is the
-    # exact sigma whose relative entropy we report.
-    cert_weights = [float(w * (1 - _FLOOR)) for w in best_weights]
-    cert_atoms = [( _angles(a), _angles(b)) for a, b in best_atoms]
-    z0, z1 = (0.0, 0.0), (math.pi, 0.0)
-    for pair in ((z0, z0), (z0, z1), (z1, z0), (z1, z1)):
-        cert_weights.append(_FLOOR / 4)
-        cert_atoms.append(pair)
-    total = sum(cert_weights)
-    certificate = SeparableAnsatz(tuple(w / total for w in cert_weights), tuple(cert_atoms))
-    final_value = relative_entropy(rho, certificate.assemble())
-    return ERResult(max(final_value, 0.0), NUMERIC_UPPER_BOUND, certificate, iterations, converged)
+
+def _close_triangle(a: float, b: float, c: float) -> tuple[float, float]:
+    """Angles (u, v) with a + b e^{iu} + c e^{iv} = 0 for side lengths a, b, c of a triangle.
+
+    tan(u/2) = sqrt((a + b - c)(a + b + c) / ((c - a + b)(c + a - b))), in
+    factored form: the law of cosines loses half the digits of a flat triangle.
+    """
+    u = 2 * math.atan2(math.sqrt(max((a + b - c) * (a + b + c), 0.0)), math.sqrt(max((c - a + b) * (c + a - b), 0.0)))
+    return u, float(np.angle(-a - b * np.exp(1j * u)))
+
+
+def _product_decomposition(sigma: np.ndarray) -> SeparableAnsatz:
+    """At most four product states that mix to a PPT sigma (Wootters 1998).
+
+    With V = eigenvectors * sqrt(eigenvalues), sigma = V V^dag. The Takagi
+    factorization V^T (Y (x) Y) V = U D U^T, read off the positive half of the
+    spectrum of the real 8x8 form [[Re, Im], [Im, -Re]], gives columns x_j of
+    V conj(U) with x_i^T (Y (x) Y) x_j = d_j delta_ij and sigma = sum_j x_j x_j^dag.
+    Phases with sum_j e^{i theta_j} d_j = 0 exist because sigma is PPT
+    (d_1 <= d_2 + d_3 + d_4), and a Hadamard recombination of the rephased
+    columns gives four vectors of zero concurrence: each is a product, read
+    off by an SVD.
+    """
+    lam, vecs = np.linalg.eigh(sigma)
+    x = vecs * np.sqrt(np.clip(lam, 0.0, None))
+    tau = x.T @ _SPIN_FLIP @ x
+    d, pq = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    d, x = d[:3:-1], x @ (pq[:4, :3:-1] - 1j * pq[4:, :3:-1])  # descending d_1 >= ... >= d_4
+    rest = min(max(d[0] - d[1], d[2] - d[3]), d[2] + d[3])
+    u, v = _close_triangle(d[0], d[1], rest)
+    u2, v2 = _close_triangle(rest, d[2], d[3])
+    theta = np.array([0.0, u, u2 + v + math.pi, v2 + v + math.pi])
+    weights, atoms = [], []
+    for z in ((x * np.exp(-0.5j * theta)) @ _HADAMARD).T:
+        left, svals, right = np.linalg.svd(z.reshape(2, 2))
+        weights.append(svals[0] ** 2)
+        atoms.append((_angles(left[:, 0]), _angles(right[0])))
+    total = sum(weights)
+    return SeparableAnsatz(tuple(w / total for w in weights), tuple(atoms))
+
+
+def _product_max(g: np.ndarray) -> float:
+    """Certified max of <ab|G|ab> over product states for a Hermitian 4x4 G.
+
+    In Bloch form <ab|G|ab> = c + alpha.m + beta.n + m^T T n over unit m, n,
+    and the best m gives c + beta.n + |alpha + T n|. So mu bounds the maximum
+    iff w = mu - c >= |beta| and q(n) = (w - beta.n)^2 - |alpha + T n|^2 >= 0
+    on the unit sphere. The sphere test is the trust-region dual: q >= 0
+    there iff psi(l) = q0 - l - sum_i bh_i^2 / (a_i + l) >= 0 for some l > -a_min,
+    where a_i, bh_i are q's quadratic part's eigenvalues and half its linear
+    part in that eigenbasis, and q0 its constant; psi is concave in l.
+    Bisection on mu returns the smallest mu that passes, to the last bit.
+    """
+    coords = np.einsum("kab,ba->k", _BASIS, g).real.reshape(4, 4) / 4
+    c, alpha, beta, tt = coords[0, 0], coords[1:, 0], coords[0, 1:], coords[1:, 1:]
+    a, frame = np.linalg.eigh(np.outer(beta, beta) - tt.T @ tt)
+    beta_f, alpha_f = frame.T @ beta, frame.T @ tt.T @ alpha
+
+    def bounds(w: float) -> bool:
+        if w < math.hypot(*beta):
+            return False
+        bh2 = [float(e * e) for e in w * beta_f + alpha_f]
+        q0 = w * w - alpha @ alpha
+
+        def slope(l: float) -> float:
+            return sum(b2 / (ai + l) ** 2 for b2, ai in zip(bh2, a) if b2) - 1
+
+        # psi's maximizer lies in (-a_min, -a_min + |bh|], where psi' <= 0.
+        lo, hi = -a[0], -a[0] + math.sqrt(sum(bh2))
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+        return q0 - hi - sum(b2 / (ai + hi) for b2, ai in zip(bh2, a) if b2) >= 0
+
+    lo, hi = 0.0, math.hypot(*alpha) + math.hypot(*beta) + float(np.linalg.norm(tt))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if bounds(mid) else (mid, hi)
+    return c + hi
+
+
+def _er_ppt_barrier(rho: DensityMatrix) -> ERResult:
+    """Certified interval for any qubit pair; see the barrier notes above.
+
+    The value is D(rho || certificate); the lower bound is the Frank-Wolfe
+    bound (Jaggi 2013) at the certificate, as on the X path.
+    """
+    sigma, steps = _ppt_newton(rho.matrix)
+    certificate = _product_decomposition(sigma)
+    assembled = certificate.assemble()
+    value = max(relative_entropy(rho, assembled), 0.0)
+    top = _product_max(_log_gradient(rho.matrix, assembled.matrix))
+    lower = max(value - max(top - 1.0, 0.0) / math.log(2), 0.0)
+    return ERResult(value, NUMERIC_UPPER_BOUND, certificate, steps, value - lower <= CERTIFIED_GAP, lower)
 
 
 # X-state reduction. rho commutes with U = diag(1, e^{it}) (x) diag(1, e^{-it});
@@ -460,7 +417,6 @@ def _er_frank_wolfe(rho: DensityMatrix, cfg: SolverConfig) -> ERResult:
 # cone is reached at Tr sigma = 1, so no normalization constraint is needed.
 
 X_STATE_TOL = 1e-12  # largest entry outside the X pattern that takes the reduced path
-X_CERTIFIED_GAP = 1e-9  # value - lower, in bits, below which the X path reports converged
 _X_PATTERN = np.eye(4, dtype=bool)
 _X_PATTERN[0, 3] = _X_PATTERN[3, 0] = True
 _X_MAX_STEPS = 100
@@ -657,7 +613,7 @@ def _er_x_state(rho: DensityMatrix) -> ERResult:
         # PPT, so separable: sigma = rho, and E_R >= 0 closes the interval.
         certificate = _x_certificate(*pops, r, phase)
         value = max(relative_entropy(rho, certificate.assemble()), 0.0)
-        return ERResult(value, NUMERIC_UPPER_BOUND, certificate, 0, value <= X_CERTIFIED_GAP, 0.0)
+        return ERResult(value, NUMERIC_UPPER_BOUND, certificate, 0, value <= CERTIFIED_GAP, 0.0)
 
     steps = 0
     if pops[1] == pops[2] == 0:
@@ -689,14 +645,14 @@ def _er_x_state(rho: DensityMatrix) -> ERResult:
     if not top < math.inf:  # also NaN, from subnormal populations: keep only E_R >= 0
         top = math.inf
     lower = max(value - max(top - 1.0, 0.0) / math.log(2), 0.0)
-    return ERResult(value, NUMERIC_UPPER_BOUND, certificate, steps, value - lower <= X_CERTIFIED_GAP, lower)
+    return ERResult(value, NUMERIC_UPPER_BOUND, certificate, steps, value - lower <= CERTIFIED_GAP, lower)
 
 
-def er_auto(rho: DensityMatrix, cfg: SolverConfig | None = None) -> ERResult:
-    """Closed form when the state is Bell-diagonal, numeric bound otherwise."""
+def er_auto(rho: DensityMatrix) -> ERResult:
+    """Closed form when the state is Bell-diagonal, numeric interval otherwise."""
     try:
         bd = BellDiagonalState.from_density_matrix(rho, tol=1e-9)
     except ValueError:
-        return er_numeric(rho, cfg)
+        return er_numeric(rho)
     return er_bell_diagonal(bd)
 

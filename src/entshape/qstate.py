@@ -145,6 +145,8 @@ class BellDiagonalState:
         c = tuple(float(x) for x in coefficients)
         if len(c) != 4:
             raise ValueError("exactly four Bell coefficients required")
+        if not all(math.isfinite(x) for x in c):
+            raise ValueError(f"coefficients must be finite: {c}")
         if any(x < -1e-12 or x > 1 + 1e-12 for x in c):
             raise ValueError(f"coefficients outside [0, 1]: {c}")
         if abs(sum(c) - 1.0) > 1e-12:

@@ -286,6 +286,11 @@ class TestBellDiagonal:
         with pytest.raises(ValueError, match="sum"):
             BellDiagonalState((0.5, 0.5, 0.5, 0.5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BellDiagonalState((bad, 0.5, 0.25, 0.25))
+
     def test_rejects_non_diagonal_states(self):
         rho = ket_dm([1, 0, 0, 0], (2, 2))
         with pytest.raises(ValueError, match="Bell-diagonal"):
