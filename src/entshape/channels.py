@@ -9,11 +9,11 @@ Two pulse-sequence transforms are exposed:
 * :func:`dd_effective_parametric` applies the compression rule
   p' = p * exp(-gamma_sd / f_dd) to the channel's noise parameter.
 * :func:`dd_effective_pulse_average` builds the channel
-  rho -> (1/M) sum_k N(P_k rho P_k^dag), exactly the displayed pulse-average
-  form, with Kraus set {K_i P_k / sqrt(M)}. Note that this form does NOT
-  undo the pulse after the channel; :func:`pauli_twirl` is the conjugate
-  version P_k^dag N(P_k rho P_k^dag) P_k, which is the one whose Choi state
-  is Bell-diagonal for every qubit channel.
+  rho -> (1/4) sum_k N(P_k rho P_k^dag) over the four Paulis, exactly the
+  displayed pulse-average form, with Kraus set {K_i P_k / 2}. Note that
+  this form does NOT undo the pulse after the channel; :func:`pauli_twirl`
+  is the conjugate version P_k^dag N(P_k rho P_k^dag) P_k, which is the one
+  whose Choi state is Bell-diagonal for every qubit channel.
 """
 
 from __future__ import annotations
@@ -156,34 +156,24 @@ def is_entanglement_breaking(channel: QuantumChannel) -> EBResult:
     return EBResult(min_eig >= -1e-10, min_eig)
 
 
-PARAMETRIC = "parametric"
-PULSE_AVERAGE = "pulse_average"
-
-
 @dataclass(frozen=True, eq=False)
 class DDConfig:
-    """Decoupling pulse settings.
+    """Decoupling pulse settings for the parametric compression.
 
     ``noise_spectral_density`` and ``pulse_frequency`` share inverse-time
-    units; only their ratio enters the parametric compression. This spectral
-    density is a different quantity from the damping parameter of
+    units; only their ratio enters the compression. This spectral density is
+    a different quantity from the damping parameter of
     :func:`amplitude_damping`, despite the conventional shared symbol.
     """
 
-    mode: str = PARAMETRIC
     pulse_frequency: float = 10.0
     noise_spectral_density: float = 0.0
-    pulse_set: tuple[np.ndarray, ...] = PAULIS
 
     def __post_init__(self):
-        if self.mode not in (PARAMETRIC, PULSE_AVERAGE):
-            raise ValueError(f"unknown decoupling mode {self.mode!r}")
         if self.pulse_frequency <= 0:
             raise ValueError("pulse_frequency must be positive")
         if self.noise_spectral_density < 0:
             raise ValueError("noise_spectral_density must be non-negative")
-        if len(self.pulse_set) == 0:
-            raise ValueError("pulse_set must not be empty")
 
     @property
     def compression(self) -> float:
@@ -197,8 +187,6 @@ def dd_effective_parametric(channel: QuantumChannel, cfg: DDConfig) -> QuantumCh
     Note the formula's own limit: as f_dd -> infinity the compression factor
     tends to 1, i.e. p' -> p, not p' -> 0.
     """
-    if cfg.mode != PARAMETRIC:
-        raise ValueError("configuration is not in parametric mode")
     scaled = channel.param * cfg.compression if channel.param is not None else None
     if channel.family == DEPOLARIZING:
         return depolarizing(scaled)
@@ -207,21 +195,18 @@ def dd_effective_parametric(channel: QuantumChannel, cfg: DDConfig) -> QuantumCh
     raise ValueError("parametric compression is defined only for tagged channel families")
 
 
-def dd_effective_pulse_average(channel: QuantumChannel, cfg: DDConfig) -> QuantumChannel:
-    """Uniform average of the channel over pulse-conjugated inputs.
+def dd_effective_pulse_average(channel: QuantumChannel) -> QuantumChannel:
+    """Uniform average of a qubit channel over Pauli-conjugated inputs.
 
-    Kraus set {K_i P_k / sqrt(M)} over the configured pulse set, acting as
-    rho -> (1/M) sum_k N(P_k rho P_k^dag). No un-rotation is applied after
-    the channel; see :func:`pauli_twirl` for the conjugate version.
+    Kraus set {K_i P_k / 2} over the four Paulis, acting as
+    rho -> (1/4) sum_k N(P_k rho P_k^dag), the same pulse set as
+    :func:`pauli_twirl`. No un-rotation is applied after the channel, so the
+    Pauli average fully depolarizes the input first: a transmitted half of
+    rho_AB leaves as rho_A (x) N(I/2), a product state.
     """
-    if cfg.mode != PULSE_AVERAGE:
-        raise ValueError("configuration is not in pulse_average mode")
-    pulses = [as_operator(p) for p in cfg.pulse_set]
-    if any(p.shape != (channel.dim, channel.dim) for p in pulses):
-        raise ValueError("pulse unitaries must match the channel dimension")
-    m = len(pulses)
-    scale = 1 / math.sqrt(m)
-    ops = [scale * (k @ p) for p in pulses for k in channel.kraus_ops]
+    if channel.dim != 2:
+        raise ValueError("pulse averaging is implemented for qubit channels")
+    ops = [0.5 * (k @ p) for p in PAULIS for k in channel.kraus_ops]
     return QuantumChannel(ops, CUSTOM, None)
 
 

@@ -633,26 +633,19 @@ def _er_x_state(rho: DensityMatrix) -> ERResult:
     # E_R >= D(rho||sigma) - (max_ab <ab|G|ab> - 1) / ln 2. G is taken at the
     # X state the certificate assembles to within rounding.
     g = _coherence_gradient(l1, l2, t, np.array([[pops[0], r], [r, pops[3]]]))
-    top = _x_product_max(
-        g[0, 0], pops[1] / b if pops[1] else 0.0, pops[2] / c if pops[2] else 0.0, g[1, 1], abs(g[0, 1])
-    )
+    # A subnormal flank population can leave its certificate flank at 0.
+    ratios = [(p / f if f else math.inf) if p else 0.0 for p, f in ((pops[1], b), (pops[2], c))]
+    # A subnormal eigenvalue of sigma overflows G; no finite bound exists then.
+    entries = (g[0, 0], *ratios, g[1, 1], abs(g[0, 1]))
+    top = _x_product_max(*entries) if np.isfinite(entries).all() else math.inf
     # Entries of rho outside the X pattern (each at most X_STATE_TOL) move G
     # by at most their Frobenius norm over the smallest eigenvalue of sigma.
     residue = float(np.linalg.norm(m[~_X_PATTERN]))
     if residue:
         smallest = min(b, c, e1, e2)
         top += residue / smallest if smallest > 0 else math.inf
-    if not top < math.inf:  # also NaN, from subnormal populations: keep only E_R >= 0
+    if not top < math.inf:  # also NaN: keep only E_R >= 0
         top = math.inf
     lower = max(value - max(top - 1.0, 0.0) / math.log(2), 0.0)
     return ERResult(value, NUMERIC_UPPER_BOUND, certificate, steps, value - lower <= CERTIFIED_GAP, lower)
-
-
-def er_auto(rho: DensityMatrix) -> ERResult:
-    """Closed form when the state is Bell-diagonal, numeric interval otherwise."""
-    try:
-        bd = BellDiagonalState.from_density_matrix(rho, tol=1e-9)
-    except ValueError:
-        return er_numeric(rho)
-    return er_bell_diagonal(bd)
 

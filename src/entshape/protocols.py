@@ -28,34 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    PARAMETRIC,
-    QuantumChannel,
-    apply,
-    dd_effective_parametric,
-    dd_effective_pulse_average,
-)
-from .entanglement import ERResult, er_auto, er_bell_diagonal
+from .channels import QuantumChannel, apply, dd_effective_parametric
+from .entanglement import er_bell_diagonal
 from .qstate import (
     BellDiagonalState,
     DensityMatrix,
-    H,
-    I2,
-    X,
     bell_pair,
     bell_projection,
     binary_entropy,
-    partial_trace,
-    tensor,
 )
-
-
-def u_pre() -> np.ndarray:
-    """The 4x4 shaping unitary (I (x) X) . CNOT . (H (x) I)."""
-    cnot = np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    )
-    return np.kron(I2, X) @ cnot @ np.kron(H, I2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,16 +192,12 @@ class MonteCarloStats:
     mean +/- standard deviation over batches.
     """
 
-    run_count: int
-    batch_count: int
     success_mean: float
     success_se: float
     fidelity_mean: float
     fidelity_se: float
     er_global_mean: float
     er_global_std: float
-    er_selected_mean: float
-    er_selected_std: float
     exact: DistillationOutcome
 
 
@@ -300,31 +277,22 @@ def dejmps_monte_carlo(
     fidelity_se = float(run_fidelities.std(ddof=1) / math.sqrt(n)) if run_count > 1 else 0.0
 
     batch_count = max(1, min(batch_count, run_count))
-    er_global, er_selected = [], []
+    er_global = []
     bounds = [run_count * b // batch_count for b in range(batch_count + 1)]
     for b in range(batch_count):
         chunk = outcome_indices[bounds[b] : bounds[b + 1]]
         counts = np.bincount(chunk, minlength=len(branch_states)).astype(float)
         counts /= counts.sum()
         er_global.append(er_bell_diagonal(BellDiagonalState(counts @ branch_weights)).value)
-        succ_share = counts[-1]
-        er_selected.append(
-            er_bell_diagonal(branch_states[-1]).value if succ_share > 0 else 0.0
-        )
     er_global = np.array(er_global)
-    er_selected = np.array(er_selected)
 
     return MonteCarloStats(
-        run_count=run_count,
-        batch_count=batch_count,
         success_mean=success_mean,
         success_se=success_se,
         fidelity_mean=fidelity_mean,
         fidelity_se=fidelity_se,
         er_global_mean=float(er_global.mean()),
         er_global_std=float(er_global.std(ddof=1)) if batch_count > 1 else 0.0,
-        er_selected_mean=float(er_selected.mean()),
-        er_selected_std=float(er_selected.std(ddof=1)) if batch_count > 1 else 0.0,
         exact=exact,
     )
 
@@ -333,84 +301,28 @@ def dejmps_monte_carlo(
 class PESOutcome:
     """Deterministic shaping-pipeline output (no branch structure).
 
-    ``block_state`` is the per-block output: one pair without the shaping
-    unitary, a two-pair register with it. ``n_pairs`` records how many pairs
-    the full run covers.
+    ``pair`` is the transmitted Bell pair and ``effective_channel`` the
+    compressed channel it went through.
     """
 
-    block_state: DensityMatrix
+    pair: DensityMatrix
     effective_channel: QuantumChannel
-    per_pair_er: ERResult
-    n_pairs: int
-    pair_er_values: tuple[float, ...]
 
 
-def pes_pipeline(
-    n_pairs: int,
-    channel: QuantumChannel,
-    dd_cfg,
-    use_u_pre: bool = False,
-    sides: str = "one",
-) -> PESOutcome:
-    """Shape, transmit, and report per-pair entanglement; fully deterministic.
+def pes_pipeline(channel: QuantumChannel, dd_cfg, sides: str = "one") -> PESOutcome:
+    """Compress the channel's noise parameter, then transmit Phi+ through it.
 
     ``sides`` selects the transmission geometry: ``"one"`` sends only the B
-    qubit of each pair through the channel, ``"two"`` sends both qubits.
+    qubit of the pair through the channel, ``"two"`` sends both qubits.
+    Every pair of a run is shaped alike, so one pair stands for all of them.
     """
     if sides not in ("one", "two"):
         raise ValueError(f"sides must be 'one' or 'two', got {sides!r}")
-    if dd_cfg.mode == PARAMETRIC:
-        eff = dd_effective_parametric(channel, dd_cfg)
-    else:
-        eff = dd_effective_pulse_average(channel, dd_cfg)
-
-    if not use_u_pre:
-        pair = bell_pair()
-        pair = apply(eff, pair, target=1)
-        if sides == "two":
-            pair = apply(eff, pair, target=0)
-        er = er_auto(pair)
-        return PESOutcome(pair, eff, er, n_pairs, (er.value,))
-
-    # Two-pair block (A1, B1, A2, B2); the shaping unitary acts on the two
-    # transmitted B qubits before the channel.
-    block = tensor(bell_pair(), bell_pair())
-    big = _two_qubit_embed(u_pre(), 1, 3, 4)
-    block = DensityMatrix(big @ block.matrix @ big.conj().T, block.dims)
-    for target in (1, 3):
-        block = apply(eff, block, target=target)
+    eff = dd_effective_parametric(channel, dd_cfg)
+    pair = apply(eff, bell_pair(), target=1)
     if sides == "two":
-        for target in (0, 2):
-            block = apply(eff, block, target=target)
-    pair_values = []
-    first_er: ERResult | None = None
-    for pair_idx in (0, 1):
-        keep = [0, 1] if pair_idx == 0 else [2, 3]
-        reduced = partial_trace(block, keep=keep)
-        res = er_auto(reduced)
-        pair_values.append(res.value)
-        if first_er is None:
-            first_er = res
-    return PESOutcome(block, eff, first_er, n_pairs, tuple(pair_values))
-
-
-def _two_qubit_embed(u: np.ndarray, q1: int, q2: int, n: int) -> np.ndarray:
-    """Embed a 4x4 operator acting on qubits (q1, q2) of an n-qubit register."""
-    d = 2**n
-    out = np.zeros((d, d), dtype=complex)
-    u4 = u.reshape(2, 2, 2, 2)
-    for row in range(d):
-        bits_r = [(row >> (n - 1 - k)) & 1 for k in range(n)]
-        for a in (0, 1):
-            for b in (0, 1):
-                amp_col = u4[bits_r[q1], bits_r[q2], a, b]
-                if amp_col == 0:
-                    continue
-                bits_c = list(bits_r)
-                bits_c[q1], bits_c[q2] = a, b
-                col = sum(bit << (n - 1 - k) for k, bit in enumerate(bits_c))
-                out[row, col] += amp_col
-    return out
+        pair = apply(eff, pair, target=0)
+    return PESOutcome(pair, eff)
 
 
 @dataclass(frozen=True)

@@ -209,8 +209,6 @@ class TestDDConfig:
             DDConfig(pulse_frequency=0)
         with pytest.raises(ValueError):
             DDConfig(noise_spectral_density=-1)
-        with pytest.raises(ValueError):
-            DDConfig(mode="bogus")
 
     def test_compression_factor(self):
         cfg = DDConfig(noise_spectral_density=math.log(0.2 / 0.17), pulse_frequency=1.0)
@@ -261,21 +259,10 @@ class TestParametricCompression:
 
 
 class TestPulseAverage:
-    def test_single_identity_pulse_is_original(self):
-        cfg = DDConfig(mode="pulse_average", pulse_set=(np.eye(2, dtype=complex),))
-        out = dd_effective_pulse_average(depolarizing(0.2), cfg)
-        rng = np.random.default_rng(31)
-        for _ in range(5):
-            rho = random_density_matrix(rng, (2,))
-            a = apply(out, rho)
-            b = apply(depolarizing(0.2), rho)
-            assert np.abs(a.matrix - b.matrix).max() < 1e-12
-
     def test_matches_brute_force_average(self):
         from entshape.qstate import PAULIS
 
-        cfg = DDConfig(mode="pulse_average")
-        averaged = dd_effective_pulse_average(amplitude_damping(0.3), cfg)
+        averaged = dd_effective_pulse_average(amplitude_damping(0.3))
         rng = np.random.default_rng(32)
         for _ in range(5):
             rho = random_density_matrix(rng, (2,))
@@ -291,8 +278,7 @@ class TestPulseAverage:
         # the fully Pauli-randomized input, so its output carries no
         # dependence on the input state: it cannot equal a compressed
         # depolarizing channel.
-        cfg = DDConfig(mode="pulse_average")
-        averaged = dd_effective_pulse_average(depolarizing(0.2), cfg)
+        averaged = dd_effective_pulse_average(depolarizing(0.2))
         rng = np.random.default_rng(33)
         outs = []
         for _ in range(3):
@@ -317,11 +303,10 @@ class TestPulseAverage:
             assert np.abs(rebuilt.matrix - c.matrix).max() < 1e-10
 
     def test_displayed_average_choi_not_bell_diagonal_for_damping(self):
-        cfg = DDConfig(mode="pulse_average")
-        c = choi(dd_effective_pulse_average(amplitude_damping(0.3), cfg))
+        c = choi(dd_effective_pulse_average(amplitude_damping(0.3)))
         rebuilt = bell_projection(c).to_density_matrix()
         assert np.abs(rebuilt.matrix - c.matrix).max() > 1e-3
 
-    def test_empty_pulse_set_rejected(self):
+    def test_non_qubit_channel_rejected(self):
         with pytest.raises(ValueError):
-            DDConfig(mode="pulse_average", pulse_set=())
+            dd_effective_pulse_average(identity_channel(3))
