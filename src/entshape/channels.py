@@ -134,11 +134,19 @@ def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
     return QuantumChannel(ops, CUSTOM, None)
 
 
+def transmit_bell_pair(channel: QuantumChannel, sides: str = "one") -> DensityMatrix:
+    """Phi+ after the channel acts on qubit B, and then on qubit A when ``sides`` is "two"."""
+    if sides not in ("one", "two"):
+        raise ValueError(f"sides must be 'one' or 'two', got {sides!r}")
+    pair = apply(channel, bell_pair(), target=1)
+    return apply(channel, pair, target=0) if sides == "two" else pair
+
+
 def choi(channel: QuantumChannel) -> DensityMatrix:
     """Choi state (I (x) N)(|Phi+><Phi+|), normalized as a two-qubit state."""
     if channel.dim != 2:
         raise ValueError("Choi state construction is implemented for qubit channels")
-    return apply(channel, bell_pair(), target=1)
+    return transmit_bell_pair(channel)
 
 
 @dataclass(frozen=True)

@@ -26,18 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channels import amplitude_damping, apply
+from .channels import amplitude_damping, transmit_bell_pair
 from .entanglement import er_bell_fidelity, er_numeric
-from .qstate import bell_pair
-
-
-@dataclass(frozen=True)
-class TrajectoryParams:
-    p: float
-    p_prime: float
-    f0: float
-    horizon: float
-    step: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +39,6 @@ class EntropyTrajectory:
     """
 
     samples: tuple[tuple[float, float, float, float], ...]
-    params: TrajectoryParams
 
     def __post_init__(self):
         times = [s[0] for s in self.samples]
@@ -88,14 +77,14 @@ def delta_er(p: float, p_prime: float, f0: float, horizon: float) -> float:
     return er_bell_fidelity(f_slow) - er_bell_fidelity(f_fast)
 
 
-def _trajectory_samples(p: float, params: TrajectoryParams) -> tuple[tuple[float, float, float, float], ...]:
-    count = int(math.floor(params.horizon / params.step + 1e-9)) + 1
+def _trajectory(p: float, f0: float, horizon: float, step: float) -> EntropyTrajectory:
+    count = int(math.floor(horizon / step + 1e-9)) + 1
     rows = []
     for i in range(count):
-        t = i * params.step
-        f = fidelity_decay(params.f0, p, t)
+        t = i * step
+        f = fidelity_decay(f0, p, t)
         rows.append((t, f, er_bell_fidelity(f), 1 - f * f))
-    return tuple(rows)
+    return EntropyTrajectory(tuple(rows))
 
 
 def trajectory(
@@ -106,11 +95,7 @@ def trajectory(
         raise ValueError("step must be positive")
     if p_prime > p:
         raise ValueError(f"compressed parameter {p_prime} exceeds raw parameter {p}")
-    params = TrajectoryParams(p, p_prime, f0, horizon, step)
-    return (
-        EntropyTrajectory(_trajectory_samples(p, params), params),
-        EntropyTrajectory(_trajectory_samples(p_prime, params), params),
-    )
+    return _trajectory(p, f0, horizon, step), _trajectory(p_prime, f0, horizon, step)
 
 
 @dataclass(frozen=True)
@@ -140,7 +125,7 @@ def damping_suppression(gamma: float, compression: float) -> DampingSuppression:
         raise ValueError("compression must be in (0, 1]")
 
     def endpoint(g: float):
-        return er_numeric(apply(amplitude_damping(g), bell_pair(), target=1))
+        return er_numeric(transmit_bell_pair(amplitude_damping(g)))
 
     raw = endpoint(gamma)
     compressed = endpoint(compression * gamma)

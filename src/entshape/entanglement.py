@@ -43,9 +43,6 @@ from .qstate import (
     relative_entropy,
 )
 
-CLOSED_FORM = "closed_form"
-NUMERIC_UPPER_BOUND = "numeric_upper_bound"
-
 
 def _ket(theta: float, phi: float) -> np.ndarray:
     return np.array([math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phi)], dtype=complex)
@@ -101,7 +98,6 @@ class ERResult:
     """
 
     value: float
-    kind: str
     certificate: SeparableAnsatz | None = None
     iterations: int = 0
     converged: bool = True
@@ -115,7 +111,7 @@ def er_pure(psi, dims: tuple[int, int] = (2, 2)) -> ERResult:
     vals = np.linalg.eigvalsh(reduced.matrix)
     vals = vals[vals > 1e-12]
     value = float(-np.sum(vals * np.log2(vals)))
-    return ERResult(max(value, 0.0), CLOSED_FORM)
+    return ERResult(max(value, 0.0))
 
 
 def _bell_diagonal_minimizer(state: BellDiagonalState) -> SeparableAnsatz:
@@ -162,9 +158,9 @@ def er_bell_diagonal(state: BellDiagonalState) -> ERResult:
     """Closed-form value 1 - H2(lam) for lam > 1/2, else 0."""
     lam = state.max_coefficient
     if lam <= 0.5:
-        return ERResult(0.0, CLOSED_FORM)
+        return ERResult(0.0)
     value = 1.0 - binary_entropy(lam)
-    return ERResult(value, CLOSED_FORM, certificate=_bell_diagonal_minimizer(state))
+    return ERResult(value, certificate=_bell_diagonal_minimizer(state))
 
 
 def er_bell_fidelity(fidelity: float, clamp: bool = True) -> float:
@@ -403,7 +399,7 @@ def _er_ppt_barrier(rho: DensityMatrix) -> ERResult:
     value = max(relative_entropy(rho, assembled), 0.0)
     top = _product_max(_log_gradient(rho.matrix, assembled.matrix))
     lower = max(value - max(top - 1.0, 0.0) / math.log(2), 0.0)
-    return ERResult(value, NUMERIC_UPPER_BOUND, certificate, steps, value - lower <= CERTIFIED_GAP, lower)
+    return ERResult(value, certificate, steps, value - lower <= CERTIFIED_GAP, lower)
 
 
 # X-state reduction. rho commutes with U = diag(1, e^{it}) (x) diag(1, e^{-it});
@@ -613,7 +609,7 @@ def _er_x_state(rho: DensityMatrix) -> ERResult:
         # PPT, so separable: sigma = rho, and E_R >= 0 closes the interval.
         certificate = _x_certificate(*pops, r, phase)
         value = max(relative_entropy(rho, certificate.assemble()), 0.0)
-        return ERResult(value, NUMERIC_UPPER_BOUND, certificate, 0, value <= CERTIFIED_GAP, 0.0)
+        return ERResult(value, certificate, 0, value <= CERTIFIED_GAP, 0.0)
 
     steps = 0
     if pops[1] == pops[2] == 0:
@@ -647,5 +643,5 @@ def _er_x_state(rho: DensityMatrix) -> ERResult:
     if not top < math.inf:  # also NaN: keep only E_R >= 0
         top = math.inf
     lower = max(value - max(top - 1.0, 0.0) / math.log(2), 0.0)
-    return ERResult(value, NUMERIC_UPPER_BOUND, certificate, steps, value - lower <= CERTIFIED_GAP, lower)
+    return ERResult(value, certificate, steps, value - lower <= CERTIFIED_GAP, lower)
 

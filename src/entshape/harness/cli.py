@@ -32,9 +32,9 @@ def _parser() -> argparse.ArgumentParser:
     for name, help_text in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--seed", type=int, help="64-bit master seed")
-        p.add_argument("--runs", type=int, help="Monte Carlo run count")
-        p.add_argument("--out", help="output directory (default: results)")
+        p.add_argument("--seed", dest="master_seed", type=int, help="64-bit master seed")
+        p.add_argument("--runs", dest="run_count", type=int, help="Monte Carlo run count")
+        p.add_argument("--out", dest="out_dir", help="output directory (default: results)")
         p.add_argument(
             "--convention",
             choices=CONVENTIONS,
@@ -45,7 +45,9 @@ def _parser() -> argparse.ArgumentParser:
             choices=SIDES,
             help="transmission geometry: channel on one qubit, two qubits, or both readings",
         )
-        p.add_argument("--quiet", action="store_true", help="suppress the summary printout")
+        p.add_argument(
+            "--quiet", action="store_true", default=None, help="suppress the summary printout"
+        )
         if name == "er":
             p.add_argument("--state", dest="er_state", help="state family for the er experiment")
             p.add_argument("--param", dest="er_param", type=float, help="state parameter")
@@ -53,26 +55,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    if args.config:
-        overrides.update(load_config_file(args.config))
-    mapping = {
-        "seed": "master_seed",
-        "runs": "run_count",
-        "out": "out_dir",
-        "convention": "convention",
-        "sides": "sides",
-    }
-    for arg_name, key in mapping.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
+    """Config-file values, then every flag given; each flag's dest is its config key."""
+    overrides = load_config_file(args.config) if args.config else {}
+    for key, value in vars(args).items():
+        if key not in ("command", "config") and value is not None:
             overrides[key] = value
-    for key in ("er_state", "er_param"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if args.quiet:
-        overrides["quiet"] = True
     return overrides
 
 

@@ -8,7 +8,8 @@ keys are rejected so typos fail loudly before any computation starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 EXPERIMENTS = ("table1", "table2", "flow", "sweep", "er", "selfcheck")
@@ -47,7 +48,6 @@ class ExperimentConfig:
     n_pairs: int = 4
     rounds: int = 2
     run_count: int = 10_000
-    batch_count: int = 10
     master_seed: int = 20260808
     er_state: str = "werner"
     er_param: float = 0.8
@@ -60,9 +60,9 @@ class ExperimentConfig:
     quiet: bool = False
 
     def validate(self) -> None:
-        for key in sorted(_FLOAT_KEYS):
+        for key, kind in _KEY_TYPES.items():
             value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
+            if kind is float and value is not None and not math.isfinite(value):
                 raise ConfigError(f"{key} = {value} is not finite")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; pick from {EXPERIMENTS}")
@@ -86,8 +86,6 @@ class ExperimentConfig:
             raise ConfigError(f"rounds = {self.rounds} too large for {self.n_pairs} pairs")
         if not (1 <= self.run_count <= MAX_RUN_COUNT):
             raise ConfigError(f"run_count = {self.run_count} outside [1, {MAX_RUN_COUNT}]")
-        if self.batch_count < 1:
-            raise ConfigError("batch_count must be at least 1")
         if not (0 <= self.master_seed < 2**64):
             raise ConfigError("master_seed must fit in 64 bits")
         if self.er_state not in ER_STATES:
@@ -115,40 +113,31 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """Serializable snapshot of every parameter, in declaration order."""
-        out = {}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
-        return out
+        return asdict(self)
 
 
-_BOOL_KEYS = {"quiet"}
-_INT_KEYS = {
-    "n_pairs", "rounds", "run_count", "batch_count", "master_seed", "sweep_count",
+# Scalar type of every key, read off the annotations ("float | None" is float).
+_KEY_TYPES = {
+    key: (typing.get_args(hint) or (hint,))[0]
+    for key, hint in typing.get_type_hints(ExperimentConfig).items()
 }
-_FLOAT_KEYS = {
-    "p", "gamma", "p_prime", "er_param", "sweep_start", "sweep_stop", "t_total", "t_step",
-}
-_STR_KEYS = {"experiment", "convention", "sides", "er_state", "out_dir"}
 
 
 def parse_value(key: str, raw: str):
+    kind = _KEY_TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown configuration key {key!r}")
     raw = raw.strip()
-    if key in _BOOL_KEYS:
+    if kind is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{key} = {raw!r} is not a boolean")
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{key} = {raw!r} is not numeric") from exc
-    if key in _STR_KEYS:
-        return raw
-    raise ConfigError(f"unknown configuration key {key!r}")
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -173,7 +162,7 @@ def load_config_file(path: str | Path) -> dict:
 def build_config(experiment: str, overrides: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(experiment=experiment)
     for key, value in overrides.items():
-        if not hasattr(cfg, key):
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown configuration key {key!r}")
         setattr(cfg, key, value)
     cfg.validate()

@@ -15,6 +15,7 @@ import math
 import os
 import tempfile
 import time
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,12 +25,13 @@ from .. import __version__
 from ..channels import (
     DDConfig,
     amplitude_damping,
-    apply,
+    apply,  # not called here; perfbench/tracer.py's self-test reads experiments.apply
     choi,
     dd_effective_pulse_average,
     depolarizing,
     eb_threshold_depolarizing,
     pauli_twirl,
+    transmit_bell_pair,
 )
 from ..dynamics import (
     damping_suppression,
@@ -47,11 +49,10 @@ from ..entanglement import (
 from ..protocols import (
     dejmps_monte_carlo,
     dejmps_recursive,
+    first_failure_branches,
     hashing_rate,
     pes_pipeline,
-    round_probabilities,
     sample_branch_indices,
-    _round_summaries,
 )
 from ..qstate import (
     BellDiagonalState,
@@ -68,6 +69,9 @@ from .report import discrepancy_entry, render_report
 
 GEOMETRIES = {"one": ("one",), "two": ("two",), "both": ("one", "two")}
 BRIDGES = {"paper": ("paper",), "oracle": ("oracle",), "both": ("paper", "oracle")}
+# Runs of the self-check's Monte Carlo comparison, whatever run_count says:
+# its standard-error test needs more than one run.
+SELFCHECK_RUNS = 4000
 
 
 @dataclass
@@ -126,6 +130,13 @@ def _dump_json(document: dict) -> str:
     return json.dumps(_jsonable(document), indent=2, allow_nan=False) + "\n"
 
 
+def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Header line, then one line per row: strings raw, numbers by repr."""
+    lines = [",".join(columns)]
+    lines += [",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 def input_pair_state(bridge: str, geometry: str, p: float) -> BellDiagonalState:
     """Per-pair post-channel state under one documented convention.
 
@@ -135,10 +146,7 @@ def input_pair_state(bridge: str, geometry: str, p: float) -> BellDiagonalState:
       claim-side bridge), composed multiplicatively for two transits.
     """
     if bridge == "oracle":
-        pair = apply(depolarizing(p), bell_pair(), target=1)
-        if geometry == "two":
-            pair = apply(depolarizing(p), pair, target=0)
-        return bell_projection(pair)
+        return bell_projection(transmit_bell_pair(depolarizing(p), geometry))
     if bridge == "paper":
         f_eff = (1 - p) if geometry == "one" else (1 - p) ** 2
         return werner(f_eff)
@@ -198,7 +206,7 @@ def parallel_branch_indices(
     ``perfbench/tracer.py`` passes it when it wraps this function as the
     Monte Carlo layer.
     """
-    probs = round_probabilities(_round_summaries(state, rounds, n_pairs))
+    probs, _ = first_failure_branches(state, rounds, n_pairs)
     return sample_branch_indices(probs, seed, run_count)
 
 
@@ -212,7 +220,6 @@ def _distillation_row(cfg: ExperimentConfig, state: BellDiagonalState, bridge: s
         cfg.rounds,
         cfg.run_count,
         cfg.master_seed,
-        batch_count=cfg.batch_count,
         outcome_indices=indices,
     )
     exact = mc.exact
@@ -344,7 +351,7 @@ def _static_claim_entries() -> list[dict]:
     # compressing the noise parameter; the conjugated twirl leaves the
     # depolarizing channel unchanged.
     avg = dd_effective_pulse_average(depolarizing(0.2))
-    probe = apply(avg, bell_pair(), target=1)
+    probe = transmit_bell_pair(avg)
     distance_to_flat = float(np.abs(probe.matrix - np.kron(np.eye(2) / 2, np.eye(2) / 2)).max())
     entries.append(
         discrepancy_entry(
@@ -484,15 +491,12 @@ def run_table2(cfg: ExperimentConfig) -> ExperimentResult:
     geometries = GEOMETRIES[cfg.sides]
 
     for geometry in geometries:
-        pair = apply(amplitude_damping(cfg.gamma), bell_pair(), target=1)
-        if geometry == "two":
-            pair = apply(amplitude_damping(cfg.gamma), pair, target=0)
-        state = bell_projection(pair)
+        state = bell_projection(transmit_bell_pair(amplitude_damping(cfg.gamma), geometry))
         row = _distillation_row(cfg, state, "oracle", geometry)
         row["input_twirled"] = True
         result.rows.append(row)
 
-    plain = er_numeric(apply(amplitude_damping(cfg.gamma), bell_pair(), target=1))
+    plain = er_numeric(transmit_bell_pair(amplitude_damping(cfg.gamma)))
     suppression = damping_suppression(0.5, 0.85)
     result.rows.append(
         {
@@ -615,16 +619,10 @@ def emit_flow_data(trajectories: dict, points: list[dict], out_dir: Path) -> lis
     written = []
     for name, traj in trajectories.items():
         path = out_dir / f"{name}_trajectory.csv"
-        lines = ["t,fidelity,er_bits,mixedness"]
-        for t, f, er, mixed in traj.samples:
-            lines.append(f"{t!r},{f!r},{er!r},{mixed!r}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        write_csv(path, ("t", "fidelity", "er_bits", "mixedness"), traj.samples)
         written.append(path)
     path = out_dir / "flow_points.csv"
-    lines = ["name,fidelity,er_bits,mixedness"]
-    for pt in points:
-        lines.append(f"{pt['name']},{pt['fidelity']!r},{pt['er_bits']!r},{pt['mixedness']!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, tuple(points[0]), (pt.values() for pt in points))
     written.append(path)
     return written
 
@@ -635,7 +633,6 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     geometries = GEOMETRIES[cfg.sides]
     ratio = 0.85 if cfg.p_prime is None else None
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
-    lines = ["p,convention,sides,p_prime,er_post_pair,er_pes_pair,success_probability"]
     for p in grid:
         for bridge in bridges:
             for geometry in geometries:
@@ -653,21 +650,8 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
                     "success_probability": exact.success_probability,
                 }
                 result.rows.append(row)
-                lines.append(
-                    ",".join(
-                        [
-                            repr(row["p"]),
-                            bridge,
-                            geometry,
-                            repr(row["p_prime"]),
-                            repr(row["er_post_pair"]),
-                            repr(row["er_pes_pair"]),
-                            repr(row["success_probability"]),
-                        ]
-                    )
-                )
     path = Path(cfg.out_dir) / "sweep.csv"
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, tuple(result.rows[0]), (row.values() for row in result.rows))
     result.files.append(str(path))
     return result
 
@@ -681,9 +665,9 @@ def run_er_single(cfg: ExperimentConfig) -> ExperimentResult:
     elif cfg.er_state == "werner_channel":
         rho = werner_from_channel(cfg.er_param).to_density_matrix()
     elif cfg.er_state == "depolarizing":
-        rho = apply(depolarizing(cfg.er_param), bell_pair(), target=1)
+        rho = transmit_bell_pair(depolarizing(cfg.er_param))
     elif cfg.er_state == "amplitude_damping":
-        rho = apply(amplitude_damping(cfg.er_param), bell_pair(), target=1)
+        rho = transmit_bell_pair(amplitude_damping(cfg.er_param))
     else:
         rho = bell_pair()
 
@@ -722,7 +706,7 @@ def run_selfcheck(cfg: ExperimentConfig) -> ExperimentResult:
     checks.append(("closed_vs_numeric_werner_grid", converged and worst <= CERTIFIED_GAP, detail))
 
     state = werner_from_channel(cfg.p)
-    mc = dejmps_monte_carlo(cfg.n_pairs, state, cfg.rounds, min(cfg.run_count, 4000), cfg.master_seed)
+    mc = dejmps_monte_carlo(cfg.n_pairs, state, cfg.rounds, SELFCHECK_RUNS, cfg.master_seed)
     gap = abs(mc.success_mean - mc.exact.success_probability)
     limit = 3 * max(mc.success_se, 1e-6)
     checks.append(("mc_vs_exact_success", gap <= limit, f"gap {gap:.4f} vs 3se {limit:.4f}"))
@@ -747,7 +731,7 @@ def run_selfcheck(cfg: ExperimentConfig) -> ExperimentResult:
     ok_channel = True
     for _ in range(25):
         p = float(rng.uniform(0, 0.75))
-        rho = apply(depolarizing(p), bell_pair(), target=1)
+        rho = transmit_bell_pair(depolarizing(p))
         tr_ok = abs(float(np.trace(rho.matrix).real) - 1) < 1e-10
         psd_ok = float(np.linalg.eigvalsh(rho.matrix).min()) > -1e-10
         ok_channel = ok_channel and tr_ok and psd_ok

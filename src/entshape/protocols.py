@@ -28,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumChannel, apply, dd_effective_parametric
+from .channels import QuantumChannel, dd_effective_parametric, transmit_bell_pair
 from .entanglement import er_bell_diagonal
 from .qstate import (
     BellDiagonalState,
     DensityMatrix,
-    bell_pair,
     bell_projection,
     binary_entropy,
 )
@@ -126,50 +125,41 @@ def dejmps_branch_map(pair1, pair2) -> DistillationOutcome:
     return _assemble(branches)
 
 
-@dataclass(frozen=True)
-class RoundSummary:
-    """Per-round exact quantities for identical-input recursion."""
+def first_failure_branches(
+    state: BellDiagonalState, rounds: int, n_pairs: int
+) -> tuple[list[float], list[BellDiagonalState]]:
+    """Probability and kept-pair state of each first-failure branch.
 
-    success_probability: float
-    success_state: BellDiagonalState
-    failure_state: BellDiagonalState | None
-    parallel_nodes: int
-
-
-def _round_summaries(input_state: BellDiagonalState, rounds: int, n_pairs: int) -> list[RoundSummary]:
+    Index r < rounds is "round r is the first to fail", with probability
+    survive_r * (1 - p_r^n_r): p_r is the round's step success probability,
+    n_r its number of parallel nodes and survive_r the product of the
+    earlier rounds' p^n. Index ``rounds`` is "every round succeeds" and takes
+    the remaining product. A failure the step omits (probability at most
+    1e-15) keeps the round's success state in its slot.
+    """
     if n_pairs < 1 or (n_pairs & (n_pairs - 1)) != 0:
         raise ValueError(f"n_pairs must be a power of two, got {n_pairs}")
     if rounds < 0 or 2**rounds > n_pairs:
         raise ValueError(f"rounds {rounds} exceeds log2 of {n_pairs} pairs")
-    summaries = []
-    current = input_state
+    probs: list[float] = []
+    states: list[BellDiagonalState] = []
+    survive, current = 1.0, state
     for r in range(rounds):
         step = dejmps_branch_map(current, current)
-        fail = next((b.state for b in step.branches if not b.success), None)
-        summaries.append(
-            RoundSummary(
-                step.success_probability,
-                step.selected_state,
-                fail,
-                n_pairs // (2 ** (r + 1)),
-            )
-        )
-        current = step.selected_state
-    return summaries
-
-
-def _first_failure_outcome(
-    state: BellDiagonalState, summaries: list[RoundSummary]
-) -> DistillationOutcome:
-    branches: list[Branch] = []
-    survive = 1.0
-    for s in summaries:
-        all_nodes = s.success_probability**s.parallel_nodes
-        if s.failure_state is not None and survive * (1 - all_nodes) > 0:
-            branches.append(Branch(survive * (1 - all_nodes), False, s.failure_state))
+        all_nodes = step.success_probability ** (n_pairs // 2 ** (r + 1))
+        probs.append(survive * (1 - all_nodes))
+        states.append(next((b.state for b in step.branches if not b.success), step.selected_state))
         survive *= all_nodes
-    final = summaries[-1].success_state if summaries else state
-    branches.insert(0, Branch(survive, True, final))
+        current = step.selected_state
+    probs.append(survive)
+    states.append(current)
+    return probs, states
+
+
+def _first_failure_outcome(probs: list[float], states: list[BellDiagonalState]) -> DistillationOutcome:
+    # The all-success branch first, then the failures in round order.
+    branches = [Branch(probs[-1], True, states[-1])]
+    branches += [Branch(p, False, s) for p, s in zip(probs[:-1], states[:-1]) if p > 0]
     return _assemble(branches)
 
 
@@ -180,7 +170,11 @@ def dejmps_recursive(n_pairs: int, input_state, rounds: int) -> DistillationOutc
     node's exact kept-pair state is the branch state.
     """
     state = _coerce_bell_diagonal(input_state)
-    return _first_failure_outcome(state, _round_summaries(state, rounds, n_pairs))
+    return _first_failure_outcome(*first_failure_branches(state, rounds, n_pairs))
+
+
+# Batches over which the Monte Carlo global-mixture entanglement is summarized.
+BATCH_COUNT = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,34 +195,17 @@ class MonteCarloStats:
     exact: DistillationOutcome
 
 
-def sample_branch_indices(
-    round_probs: tuple[tuple[float, int], ...], master_seed: int, count: int
-) -> np.ndarray:
-    """Branch index per run: 0..rounds-1 = first failing round, rounds = success.
+def sample_branch_indices(branch_probs: list[float], master_seed: int, count: int) -> np.ndarray:
+    """Branch index per run, indexed as in :func:`first_failure_branches`.
 
-    ``round_probs`` lists (success probability, parallel node count) per
-    round. Round r is the first failure with probability
-    survive_r * (1 - p_r^n_r), where survive_r is the product of the earlier
-    rounds' p^n; the all-success branch takes the remaining product. Each run
-    is one categorical draw: ``count`` uniforms from
+    Each run is one categorical draw: ``count`` uniforms from
     ``default_rng(master_seed)`` located in the cumulative branch
-    probabilities, so the indices depend only on (round_probs, seed, count).
+    probabilities, so the indices depend only on (branch_probs, seed, count).
     """
-    branch_probs = []
-    survive = 1.0
-    for prob, nodes in round_probs:
-        all_nodes = prob**nodes
-        branch_probs.append(survive * (1 - all_nodes))
-        survive *= all_nodes
-    branch_probs.append(survive)
     uniforms = np.random.default_rng(master_seed).random(count)
     indices = np.searchsorted(np.cumsum(branch_probs), uniforms, side="right")
     # Rounding can leave the cumulative total a hair below 1.
-    return np.minimum(indices, len(round_probs)).astype(np.int64)
-
-
-def round_probabilities(summaries: list[RoundSummary]) -> tuple[tuple[float, int], ...]:
-    return tuple((s.success_probability, s.parallel_nodes) for s in summaries)
+    return np.minimum(indices, len(branch_probs) - 1).astype(np.int64)
 
 
 def dejmps_monte_carlo(
@@ -237,7 +214,6 @@ def dejmps_monte_carlo(
     rounds: int,
     run_count: int,
     master_seed: int,
-    batch_count: int = 10,
     outcome_indices: np.ndarray | None = None,
 ) -> MonteCarloStats:
     """Monte Carlo sampling of the recursive pipeline from one master seed.
@@ -249,26 +225,17 @@ def dejmps_monte_carlo(
     if run_count < 1:
         raise ValueError("run_count must be at least 1")
     state = _coerce_bell_diagonal(input_state)
-    summaries = _round_summaries(state, rounds, n_pairs)
-    exact = _first_failure_outcome(state, summaries)
+    probs, states = first_failure_branches(state, rounds, n_pairs)
+    exact = _first_failure_outcome(probs, states)
 
     if outcome_indices is None:
-        outcome_indices = sample_branch_indices(
-            round_probabilities(summaries), master_seed, run_count
-        )
+        outcome_indices = sample_branch_indices(probs, master_seed, run_count)
     if len(outcome_indices) != run_count:
         raise ValueError("outcome indices do not match run_count")
 
-    branch_states = [
-        (s.failure_state if s.failure_state is not None else s.success_state)
-        for s in summaries
-    ]
-    branch_states.append(exact.selected_state)
-    branch_weights = np.array([s.coefficients for s in branch_states])
-    fidelities = branch_weights[:, 0]
-
-    success_flags = (outcome_indices == len(summaries)).astype(float)
-    run_fidelities = fidelities[outcome_indices]
+    branch_weights = np.array([s.coefficients for s in states])
+    success_flags = (outcome_indices == rounds).astype(float)
+    run_fidelities = branch_weights[outcome_indices, 0]
 
     n = float(run_count)
     success_mean = float(success_flags.mean())
@@ -276,12 +243,12 @@ def dejmps_monte_carlo(
     fidelity_mean = float(run_fidelities.mean())
     fidelity_se = float(run_fidelities.std(ddof=1) / math.sqrt(n)) if run_count > 1 else 0.0
 
-    batch_count = max(1, min(batch_count, run_count))
+    batches = min(BATCH_COUNT, run_count)
     er_global = []
-    bounds = [run_count * b // batch_count for b in range(batch_count + 1)]
-    for b in range(batch_count):
+    bounds = [run_count * b // batches for b in range(batches + 1)]
+    for b in range(batches):
         chunk = outcome_indices[bounds[b] : bounds[b + 1]]
-        counts = np.bincount(chunk, minlength=len(branch_states)).astype(float)
+        counts = np.bincount(chunk, minlength=len(states)).astype(float)
         counts /= counts.sum()
         er_global.append(er_bell_diagonal(BellDiagonalState(counts @ branch_weights)).value)
     er_global = np.array(er_global)
@@ -292,7 +259,7 @@ def dejmps_monte_carlo(
         fidelity_mean=fidelity_mean,
         fidelity_se=fidelity_se,
         er_global_mean=float(er_global.mean()),
-        er_global_std=float(er_global.std(ddof=1)) if batch_count > 1 else 0.0,
+        er_global_std=float(er_global.std(ddof=1)) if batches > 1 else 0.0,
         exact=exact,
     )
 
@@ -316,13 +283,8 @@ def pes_pipeline(channel: QuantumChannel, dd_cfg, sides: str = "one") -> PESOutc
     qubit of the pair through the channel, ``"two"`` sends both qubits.
     Every pair of a run is shaped alike, so one pair stands for all of them.
     """
-    if sides not in ("one", "two"):
-        raise ValueError(f"sides must be 'one' or 'two', got {sides!r}")
     eff = dd_effective_parametric(channel, dd_cfg)
-    pair = apply(eff, bell_pair(), target=1)
-    if sides == "two":
-        pair = apply(eff, pair, target=0)
-    return PESOutcome(pair, eff)
+    return PESOutcome(transmit_bell_pair(eff, sides), eff)
 
 
 @dataclass(frozen=True)

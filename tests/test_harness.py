@@ -113,7 +113,7 @@ class TestConfig:
 
     def test_removed_keys_rejected(self):
         for key in (
-            "workers", "ad_grid", "ad_slices",
+            "workers", "ad_grid", "ad_slices", "batch_count",
             "dd_noise_density", "dd_pulse_count", "dd_pulse_frequency",
         ):
             with pytest.raises(ConfigError, match="unknown"):
@@ -289,20 +289,37 @@ class TestCLI:
         )
         assert proc.returncode == 3, (proc.returncode, proc.stderr)
 
-    def test_table1_determinism(self, tmp_path):
-        out = tmp_path / "out"
-        args = (
-            "table1", "--convention", "both", "--seed", "424242",
-            "--runs", "3000", "--out", str(out), "--quiet",
-        )
-        proc = cli(*args)
-        assert proc.returncode == 0, proc.stderr
-        first = strip_wall_clock(out / "table1_result.json")
-        (out / "table1_result.json").rename(out / "first.json")
-        proc = cli(*args)
-        assert proc.returncode == 0
-        second = strip_wall_clock(out / "table1_result.json")
-        assert first == second
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("table1", "--convention", "both", "--runs", "3000"),
+            ("table2", "--convention", "oracle", "--runs", "3000"),
+            ("flow", "--convention", "oracle"),
+            ("sweep", "--convention", "both"),
+            ("er", "--convention", "oracle", "--state", "amplitude_damping", "--param", "0.3"),
+            ("check",),
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_repeat_run_byte_identical(self, tmp_path, args):
+        outputs = []
+        for name in ("first", "second"):
+            out = tmp_path / name
+            proc = cli(*args, "--seed", "424242", "--out", str(out), "--quiet")
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(
+                {
+                    f.name: strip_wall_clock(f).replace(str(out), "OUT")
+                    for f in sorted(out.iterdir())
+                }
+            )
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    def test_check_single_run_exits_zero(self, tmp_path):
+        # The self-check draws a fixed number of runs, so run_count = 1 still
+        # leaves it a standard error to compare against.
+        proc = cli("check", "--out", str(tmp_path), "--runs", "1", "--quiet")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_er_cli(self, tmp_path):
         proc = cli(

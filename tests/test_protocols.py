@@ -11,13 +11,12 @@ from entshape.entanglement import er_bell_diagonal, er_numeric
 from entshape.harness.experiments import input_pair_state
 from entshape.protocols import (
     DistillationOutcome,
-    _round_summaries,
     dejmps_branch_map,
     dejmps_monte_carlo,
     dejmps_recursive,
+    first_failure_branches,
     hashing_rate,
     pes_pipeline,
-    round_probabilities,
     sample_branch_indices,
 )
 from entshape.qstate import (
@@ -303,7 +302,7 @@ class TestMonteCarlo:
         )
         assert len(expected) == 3
         count = 200_000
-        probs = round_probabilities(_round_summaries(state, 2, 4))
+        probs, _ = first_failure_branches(state, 2, 4)
         freq = np.bincount(sample_branch_indices(probs, 4321, count), minlength=3) / count
         sigma = np.sqrt(expected * (1 - expected) / count)
         assert np.all(np.abs(freq - expected) <= 5 * sigma)
