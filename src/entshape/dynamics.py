@@ -104,12 +104,24 @@ class DampingSuppression:
 
     ``value`` is the endpoint entanglement gap between the compressed and raw
     damping paths; ``converged`` is the AND of the two endpoint solves' flags.
+    Each endpoint keeps its certified lower bound, so the gap carries an
+    interval.
     """
 
     value: float
     er_raw_endpoint: float
     er_compressed_endpoint: float
     converged: bool
+    er_raw_lower: float
+    er_compressed_lower: float
+
+    @property
+    def interval(self) -> tuple[float, float]:
+        """[compressed lower - raw value, compressed value - raw lower]."""
+        return (
+            self.er_compressed_lower - self.er_raw_endpoint,
+            self.er_compressed_endpoint - self.er_raw_lower,
+        )
 
 
 def damping_suppression(gamma: float, compression: float) -> DampingSuppression:
@@ -130,5 +142,10 @@ def damping_suppression(gamma: float, compression: float) -> DampingSuppression:
     raw = endpoint(gamma)
     compressed = endpoint(compression * gamma)
     return DampingSuppression(
-        compressed.value - raw.value, raw.value, compressed.value, raw.converged and compressed.converged
+        compressed.value - raw.value,
+        raw.value,
+        compressed.value,
+        raw.converged and compressed.converged,
+        float(raw.lower),
+        float(compressed.lower),
     )

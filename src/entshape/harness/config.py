@@ -162,6 +162,8 @@ def load_config_file(path: str | Path) -> dict:
 def build_config(experiment: str, overrides: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(experiment=experiment)
     for key, value in overrides.items():
+        if key == "experiment":
+            raise ConfigError("experiment is set by the subcommand, not by configuration")
         if key not in _KEY_TYPES:
             raise ConfigError(f"unknown configuration key {key!r}")
         setattr(cfg, key, value)

@@ -206,23 +206,16 @@ def parallel_branch_indices(
     ``perfbench/tracer.py`` passes it when it wraps this function as the
     Monte Carlo layer.
     """
-    probs, _ = first_failure_branches(state, rounds, n_pairs)
+    probs = first_failure_branches(state, rounds, n_pairs).probabilities
     return sample_branch_indices(probs, seed, run_count)
 
 
 def _distillation_row(cfg: ExperimentConfig, state: BellDiagonalState, bridge: str, geometry: str) -> dict:
+    exact = dejmps_recursive(cfg.n_pairs, state, cfg.rounds)
     indices = parallel_branch_indices(
         state, cfg.rounds, cfg.n_pairs, cfg.run_count, cfg.master_seed
     )
-    mc = dejmps_monte_carlo(
-        cfg.n_pairs,
-        state,
-        cfg.rounds,
-        cfg.run_count,
-        cfg.master_seed,
-        outcome_indices=indices,
-    )
-    exact = mc.exact
+    mc = dejmps_monte_carlo(exact, indices)
     global_bd = exact.global_state
     global_mixed_trash = exact.global_with_placeholder_trash()
     selected = exact.selected_state
@@ -516,6 +509,7 @@ def run_table2(cfg: ExperimentConfig) -> ExperimentResult:
             "gamma": 0.5,
             "compression": 0.85,
             "delta_er": suppression.value,
+            "delta_er_interval": list(suppression.interval),
             "er_raw_endpoint": suppression.er_raw_endpoint,
             "er_compressed_endpoint": suppression.er_compressed_endpoint,
             "converged": suppression.converged,
@@ -564,6 +558,7 @@ def run_table2(cfg: ExperimentConfig) -> ExperimentResult:
             "numeric bounds at one-shot damping 0.5 and 0.85 x 0.5; equal-damping "
             "slices compose exactly (AD(a) o AD(b) = AD(1 - (1-a)(1-b))), so any "
             "time-sliced path ends at the same state",
+            extra={"interval": list(suppression.interval)},
         )
     )
     result.discrepancies.extend(_static_claim_entries())
@@ -706,11 +701,14 @@ def run_selfcheck(cfg: ExperimentConfig) -> ExperimentResult:
     checks.append(("closed_vs_numeric_werner_grid", converged and worst <= CERTIFIED_GAP, detail))
 
     state = werner_from_channel(cfg.p)
-    mc = dejmps_monte_carlo(cfg.n_pairs, state, cfg.rounds, SELFCHECK_RUNS, cfg.master_seed)
-    gap = abs(mc.success_mean - mc.exact.success_probability)
+    exact = dejmps_recursive(cfg.n_pairs, state, cfg.rounds)
+    mc = dejmps_monte_carlo(
+        exact, sample_branch_indices(exact.probabilities, cfg.master_seed, SELFCHECK_RUNS)
+    )
+    gap = abs(mc.success_mean - exact.success_probability)
     limit = 3 * max(mc.success_se, 1e-6)
     checks.append(("mc_vs_exact_success", gap <= limit, f"gap {gap:.4f} vs 3se {limit:.4f}"))
-    fgap = abs(mc.fidelity_mean - mc.exact.global_state.fidelity)
+    fgap = abs(mc.fidelity_mean - exact.global_state.fidelity)
     flimit = 3 * max(mc.fidelity_se, 1e-6)
     checks.append(("mc_vs_exact_fidelity", fgap <= flimit, f"gap {fgap:.4f} vs 3se {flimit:.4f}"))
 

@@ -15,127 +15,106 @@ convexity bookkeeping downstream is checked against truth. The tests keep a
 
 The recursive pipeline consumes n = 2^rounds identical pairs. Every parallel
 node at a given round sees the same input state, so the full branch tree
-collapses to one success state and one failure state per round; the global
-output is the mixture over the first failing round (traversal order: rounds
-ascending) plus the all-success branch. Every state in the distillation
-layer is Bell-diagonal, so outcomes carry and mix Bell weights only.
+collapses to one success state and one failure state per round. The one
+outcome record, :class:`DistillationOutcome`, is the first-failure branch
+table: one entry per first failing round (rounds ascending) plus the
+all-success entry. The exact global mixture, the selected state and the
+Monte Carlo statistics are all read off that table. Every state in the
+distillation layer is Bell-diagonal, so the table carries and mixes Bell
+weights only; callers project other states with ``qstate.bell_projection``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import QuantumChannel, dd_effective_parametric, transmit_bell_pair
 from .entanglement import er_bell_diagonal
-from .qstate import (
-    BellDiagonalState,
-    DensityMatrix,
-    bell_projection,
-    binary_entropy,
-)
-
-
-@dataclass(frozen=True, eq=False)
-class Branch:
-    probability: float
-    success: bool
-    state: BellDiagonalState
-
-
-def _mixture(branches) -> np.ndarray:
-    """Bell weights of the probability mixture of the branch states."""
-    return sum(b.probability * np.asarray(b.state.coefficients) for b in branches)
+from .qstate import BellDiagonalState, DensityMatrix, binary_entropy
 
 
 @dataclass(frozen=True, eq=False)
 class DistillationOutcome:
-    """Branch-resolved result of a distillation pipeline.
+    """First-failure branch table of a distillation pipeline.
 
-    ``global_state`` is the probability mixture over every branch's kept-pair
-    state; ``selected_state`` is the all-success output.
+    Entry r < rounds is "round r is the first to fail" and holds the failed
+    node's kept-pair state; the last entry is "every round succeeds".
+    ``global_state`` is the probability mixture over every entry;
+    ``selected_state`` is the all-success output.
     """
 
-    branches: tuple[Branch, ...]
-    success_probability: float
-    global_state: BellDiagonalState
-    selected_state: BellDiagonalState
+    probabilities: tuple[float, ...]
+    states: tuple[BellDiagonalState, ...]
 
     def __post_init__(self):
-        total = sum(b.probability for b in self.branches)
+        if len(self.probabilities) != len(self.states):
+            raise ValueError("one state per branch probability is required")
+        if any(p < -1e-12 for p in self.probabilities):
+            raise ValueError("negative branch probability")
+        total = sum(self.probabilities)
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"branch probabilities sum to {total}")
-        if any(b.probability < -1e-12 for b in self.branches):
-            raise ValueError("negative branch probability")
-        p_s = sum(b.probability for b in self.branches if b.success)
-        if abs(p_s - self.success_probability) > 1e-10:
-            raise ValueError("success_probability does not match success branches")
-        mix = _mixture(self.branches)
-        if np.abs(mix - np.asarray(self.global_state.coefficients)).max() > 1e-10:
-            raise ValueError("global state is not the branch mixture")
+
+    @property
+    def success_probability(self) -> float:
+        return self.probabilities[-1]
+
+    @property
+    def selected_state(self) -> BellDiagonalState:
+        return self.states[-1]
+
+    def _mix(self, failure_weights) -> BellDiagonalState:
+        # Success first, then the failures in round order: this summation
+        # order fixes the last bits of every reported mixture.
+        *fail_probs, p_s = self.probabilities
+        terms = [p_s * np.asarray(self.selected_state.coefficients)]
+        terms += [p * failure_weights(s) for p, s in zip(fail_probs, self.states) if p > 0]
+        mix = sum(terms)
+        return BellDiagonalState(mix / mix.sum())
+
+    @property
+    def global_state(self) -> BellDiagonalState:
+        return self._mix(lambda s: np.asarray(s.coefficients))
 
     def global_with_placeholder_trash(self) -> BellDiagonalState:
         """Global mixture with every failure branch replaced by I/4."""
         # I/4 puts weight 1/4 on every Bell state.
-        mix = sum(
-            b.probability * (np.asarray(b.state.coefficients) if b.success else 0.25)
-            for b in self.branches
-        )
-        return BellDiagonalState(mix / mix.sum())
+        return self._mix(lambda s: 0.25)
 
 
-def _assemble(branches: list[Branch]) -> DistillationOutcome:
-    p_s = sum(b.probability for b in branches if b.success)
-    mix = _mixture(branches)
-    selected = next(b.state for b in branches if b.success)
-    return DistillationOutcome(
-        tuple(branches), p_s, BellDiagonalState(mix / mix.sum()), selected
-    )
-
-
-def _coerce_bell_diagonal(state) -> BellDiagonalState:
-    if isinstance(state, BellDiagonalState):
-        return state
-    if isinstance(state, DensityMatrix):
-        return bell_projection(state)
-    raise TypeError(f"expected a pair state, got {type(state).__name__}")
-
-
-def dejmps_branch_map(pair1, pair2) -> DistillationOutcome:
+def dejmps_branch_map(pair1: BellDiagonalState, pair2: BellDiagonalState) -> DistillationOutcome:
     """One recurrence step on two Bell-diagonal pairs, in closed form.
 
-    ``pair1`` is the control (kept) pair. Inputs that are not Bell-diagonal
-    are dephased in the Bell basis first (the outcome record carries
-    Bell-diagonal states by contract). The failure branch is omitted when
-    its probability is at most 1e-15.
+    ``pair1`` is the control (kept) pair. The result is the one-round table
+    (failure, success). A failure of probability at most 1e-15 keeps the
+    success state in its slot.
     """
-    a, b, c, d = _coerce_bell_diagonal(pair1).coefficients
-    e, f, g, h = _coerce_bell_diagonal(pair2).coefficients
+    a, b, c, d = pair1.coefficients
+    e, f, g, h = pair2.coefficients
     # Unnormalized kept-pair Bell weights; each sums to its branch probability.
     succ = np.array([a * e + c * g, b * f + d * h, b * h + d * f, a * g + c * e])
     fail = np.array([a * f + c * h, b * e + d * g, b * g + d * e, a * h + c * f])
     p_succ, p_fail = float(succ.sum()), float(fail.sum())
     if p_succ <= 0:
         raise ValueError("the pairs never pass the parity check")
-    branches = [Branch(p_succ, True, BellDiagonalState(succ / p_succ))]
-    if p_fail > 1e-15:
-        branches.append(Branch(p_fail, False, BellDiagonalState(fail / p_fail)))
-    return _assemble(branches)
+    success = BellDiagonalState(succ / p_succ)
+    failure = BellDiagonalState(fail / p_fail) if p_fail > 1e-15 else success
+    return DistillationOutcome((p_fail, p_succ), (failure, success))
 
 
 def first_failure_branches(
     state: BellDiagonalState, rounds: int, n_pairs: int
-) -> tuple[list[float], list[BellDiagonalState]]:
-    """Probability and kept-pair state of each first-failure branch.
+) -> DistillationOutcome:
+    """The first-failure branch table of ``rounds`` rounds over ``n_pairs`` pairs.
 
-    Index r < rounds is "round r is the first to fail", with probability
-    survive_r * (1 - p_r^n_r): p_r is the round's step success probability,
-    n_r its number of parallel nodes and survive_r the product of the
-    earlier rounds' p^n. Index ``rounds`` is "every round succeeds" and takes
-    the remaining product. A failure the step omits (probability at most
-    1e-15) keeps the round's success state in its slot.
+    Round r fails first with probability survive_r * (1 - p_r^n_r): p_r is
+    the round's step success probability, n_r its number of parallel nodes
+    and survive_r the product of the earlier rounds' p^n. The all-success
+    entry takes the remaining product.
     """
     if n_pairs < 1 or (n_pairs & (n_pairs - 1)) != 0:
         raise ValueError(f"n_pairs must be a power of two, got {n_pairs}")
@@ -148,29 +127,22 @@ def first_failure_branches(
         step = dejmps_branch_map(current, current)
         all_nodes = step.success_probability ** (n_pairs // 2 ** (r + 1))
         probs.append(survive * (1 - all_nodes))
-        states.append(next((b.state for b in step.branches if not b.success), step.selected_state))
+        states.append(step.states[0])
         survive *= all_nodes
         current = step.selected_state
     probs.append(survive)
     states.append(current)
-    return probs, states
+    return DistillationOutcome(tuple(probs), tuple(states))
 
 
-def _first_failure_outcome(probs: list[float], states: list[BellDiagonalState]) -> DistillationOutcome:
-    # The all-success branch first, then the failures in round order.
-    branches = [Branch(probs[-1], True, states[-1])]
-    branches += [Branch(p, False, s) for p, s in zip(probs[:-1], states[:-1]) if p > 0]
-    return _assemble(branches)
-
-
-def dejmps_recursive(n_pairs: int, input_state, rounds: int) -> DistillationOutcome:
+def dejmps_recursive(n_pairs: int, state: BellDiagonalState, rounds: int) -> DistillationOutcome:
     """Pairwise recursive distillation over n identical pairs.
 
-    The branch record groups outcomes by the first failing round; the failed
-    node's exact kept-pair state is the branch state.
+    Returns the first-failure branch table: outcomes are grouped by the first
+    failing round, and the failed node's exact kept-pair state is the
+    branch state.
     """
-    state = _coerce_bell_diagonal(input_state)
-    return _first_failure_outcome(*first_failure_branches(state, rounds, n_pairs))
+    return first_failure_branches(state, rounds, n_pairs)
 
 
 # Batches over which the Monte Carlo global-mixture entanglement is summarized.
@@ -192,11 +164,10 @@ class MonteCarloStats:
     fidelity_se: float
     er_global_mean: float
     er_global_std: float
-    exact: DistillationOutcome
 
 
-def sample_branch_indices(branch_probs: list[float], master_seed: int, count: int) -> np.ndarray:
-    """Branch index per run, indexed as in :func:`first_failure_branches`.
+def sample_branch_indices(branch_probs: Sequence[float], master_seed: int, count: int) -> np.ndarray:
+    """One branch index per run, into :class:`DistillationOutcome`'s entries.
 
     Each run is one categorical draw: ``count`` uniforms from
     ``default_rng(master_seed)`` located in the cumulative branch
@@ -208,34 +179,18 @@ def sample_branch_indices(branch_probs: list[float], master_seed: int, count: in
     return np.minimum(indices, len(branch_probs) - 1).astype(np.int64)
 
 
-def dejmps_monte_carlo(
-    n_pairs: int,
-    input_state,
-    rounds: int,
-    run_count: int,
-    master_seed: int,
-    outcome_indices: np.ndarray | None = None,
-) -> MonteCarloStats:
-    """Monte Carlo sampling of the recursive pipeline from one master seed.
+def dejmps_monte_carlo(exact: DistillationOutcome, indices: np.ndarray) -> MonteCarloStats:
+    """Monte Carlo statistics of the branch table over one run per index.
 
-    Each run is one categorical draw over the exact first-failure branches
-    (:func:`sample_branch_indices`). ``outcome_indices`` lets a caller supply
-    branch indices it already drew with that function and the same seed.
+    ``indices`` are branch indices into ``exact``, one per run, as drawn by
+    :func:`sample_branch_indices`.
     """
+    run_count = len(indices)
     if run_count < 1:
-        raise ValueError("run_count must be at least 1")
-    state = _coerce_bell_diagonal(input_state)
-    probs, states = first_failure_branches(state, rounds, n_pairs)
-    exact = _first_failure_outcome(probs, states)
-
-    if outcome_indices is None:
-        outcome_indices = sample_branch_indices(probs, master_seed, run_count)
-    if len(outcome_indices) != run_count:
-        raise ValueError("outcome indices do not match run_count")
-
-    branch_weights = np.array([s.coefficients for s in states])
-    success_flags = (outcome_indices == rounds).astype(float)
-    run_fidelities = branch_weights[outcome_indices, 0]
+        raise ValueError("at least one run is required")
+    branch_weights = np.array([s.coefficients for s in exact.states])
+    success_flags = (indices == len(exact.states) - 1).astype(float)
+    run_fidelities = branch_weights[indices, 0]
 
     n = float(run_count)
     success_mean = float(success_flags.mean())
@@ -247,8 +202,8 @@ def dejmps_monte_carlo(
     er_global = []
     bounds = [run_count * b // batches for b in range(batches + 1)]
     for b in range(batches):
-        chunk = outcome_indices[bounds[b] : bounds[b + 1]]
-        counts = np.bincount(chunk, minlength=len(states)).astype(float)
+        chunk = indices[bounds[b] : bounds[b + 1]]
+        counts = np.bincount(chunk, minlength=len(exact.states)).astype(float)
         counts /= counts.sum()
         er_global.append(er_bell_diagonal(BellDiagonalState(counts @ branch_weights)).value)
     er_global = np.array(er_global)
@@ -260,7 +215,6 @@ def dejmps_monte_carlo(
         fidelity_se=fidelity_se,
         er_global_mean=float(er_global.mean()),
         er_global_std=float(er_global.std(ddof=1)) if batches > 1 else 0.0,
-        exact=exact,
     )
 
 

@@ -43,11 +43,9 @@ I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 PAULIS = (I2, X, Y, Z)
 
 _SQRT2 = math.sqrt(2)
-BELL_LABELS = ("phi_plus", "psi_plus", "psi_minus", "phi_minus")
 BELL_VECTORS = (
     np.array([1, 0, 0, 1], dtype=complex) / _SQRT2,
     np.array([0, 1, 1, 0], dtype=complex) / _SQRT2,

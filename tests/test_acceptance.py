@@ -23,7 +23,7 @@ from entshape.entanglement import (
 )
 from entshape.harness.config import build_config
 from entshape.harness.experiments import run
-from entshape.protocols import dejmps_monte_carlo, dejmps_recursive
+from entshape.protocols import dejmps_monte_carlo, dejmps_recursive, sample_branch_indices
 from entshape.qstate import (
     DensityMatrix,
     bell_pair,
@@ -126,7 +126,7 @@ def test_criterion_5_separation_at_desk_scale():
 
         post_state = input_pair_state(bridge, geometry, 0.2)
         exact = dejmps_recursive(4, post_state, 2)
-        mc = dejmps_monte_carlo(4, post_state, 2, 10_000, 515151)
+        mc = dejmps_monte_carlo(exact, sample_branch_indices(exact.probabilities, 515151, 10_000))
         post_er = er_bell_diagonal(exact.global_state).value
         pes_er = er_bell_diagonal(input_pair_state(bridge, geometry, 0.17)).value
         factors[f"{bridge}/{geometry}"] = pes_er / post_er if post_er > 0 else math.inf
@@ -148,8 +148,8 @@ def test_criterion_6_monte_carlo_matches_exact_tree():
     ok = True
     for fidelity in (0.7, 0.8, 0.9):
         state = werner_from_channel(1 - fidelity)
-        mc = dejmps_monte_carlo(4, state, 2, 10_000, 606060)
-        exact = mc.exact
+        exact = dejmps_recursive(4, state, 2)
+        mc = dejmps_monte_carlo(exact, sample_branch_indices(exact.probabilities, 606060, 10_000))
         ps_gap = abs(mc.success_mean - exact.success_probability)
         ps_ok = ps_gap <= 3 * mc.success_se
         fid_gap = abs(mc.fidelity_mean - exact.global_state.fidelity)

@@ -10,7 +10,7 @@ from entshape.dynamics import (
     fidelity_decay,
     trajectory,
 )
-from entshape.entanglement import er_bell_fidelity
+from entshape.entanglement import CERTIFIED_GAP, er_bell_fidelity
 
 
 def rk4_decay(f0, p, t_final, steps=4000):
@@ -182,6 +182,12 @@ class TestDampingSuppression:
         assert res.value > 0
         assert res.er_compressed_endpoint > res.er_raw_endpoint
         assert res.converged
+
+    def test_interval_contains_gap(self):
+        res = damping_suppression(0.5, 0.85)
+        lo, hi = res.interval
+        assert lo <= res.value <= hi
+        assert hi - lo <= 2 * CERTIFIED_GAP
 
     def test_rejects_bad_compression(self):
         with pytest.raises(ValueError):

@@ -203,6 +203,18 @@ class TestExperiments:
         claim_keys = {d["claim"] for d in doc["discrepancies"]}
         assert {"table1_success", "table1_er_global", "pes_calibration"} <= claim_keys
 
+    def test_table2_damping_gap_carries_interval(self, tmp_path):
+        cfg = build_config(
+            "table2",
+            {"convention": "oracle", "sides": "one", "out_dir": str(tmp_path), "run_count": 1000},
+        )
+        result = run(cfg)
+        row = next(r for r in result.rows if r["protocol"] == "damping_suppression")
+        entry = next(e for e in result.discrepancies if e["claim"] == "ad_delta")
+        lo, hi = row["delta_er_interval"]
+        assert lo <= row["delta_er"] <= hi
+        assert entry["interval"] == row["delta_er_interval"]
+
     def test_every_claim_check_has_single_status(self, tmp_path):
         cfg = build_config(
             "table1",
@@ -320,6 +332,15 @@ class TestCLI:
         # leaves it a standard error to compare against.
         proc = cli("check", "--out", str(tmp_path), "--runs", "1", "--quiet")
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_config_cannot_override_subcommand(self, tmp_path):
+        config = tmp_path / "f.cfg"
+        config.write_text("experiment = sweep\n")
+        out = tmp_path / "out"
+        proc = cli("table1", "--convention", "oracle", "--config", str(config), "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "experiment" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_er_cli(self, tmp_path):
         proc = cli(

@@ -14,7 +14,6 @@ from entshape.protocols import (
     dejmps_branch_map,
     dejmps_monte_carlo,
     dejmps_recursive,
-    first_failure_branches,
     hashing_rate,
     pes_pipeline,
     sample_branch_indices,
@@ -94,11 +93,11 @@ def check_against_simulation(out, q, r):
     p_succ, success, p_fail, failure = simulate_recurrence(q, r)
     assert out.success_probability == pytest.approx(p_succ, abs=1e-12)
     assert np.abs(np.array(out.selected_state.coefficients) - success).max() < 1e-10
-    fail_branch = next((b for b in out.branches if not b.success), None)
-    assert (fail_branch is None) == (failure is None)
-    if failure is not None:
-        assert fail_branch.probability == pytest.approx(p_fail, abs=1e-12)
-        assert np.abs(np.array(fail_branch.state.coefficients) - failure).max() < 1e-10
+    assert out.probabilities[0] == pytest.approx(p_fail, abs=1e-12)
+    if failure is None:
+        assert out.states[0] is out.selected_state
+    else:
+        assert np.abs(np.array(out.states[0].coefficients) - failure).max() < 1e-10
 
 
 # Bell weights with exact zeros; nonzero weights are at least 1/400 after
@@ -162,18 +161,12 @@ class TestBranchMap:
     def test_werner_failure_branch_is_flat(self):
         state = werner_from_channel(0.2)
         out = dejmps_branch_map(state, state)
-        fail = next(b for b in out.branches if not b.success)
-        assert np.abs(np.array(fail.state.coefficients) - 0.25).max() < 1e-10
+        assert np.abs(np.array(out.states[0].coefficients) - 0.25).max() < 1e-10
 
     def test_branch_probabilities_sum(self):
         state = werner(0.7)
         out = dejmps_branch_map(state, state)
-        assert sum(b.probability for b in out.branches) == pytest.approx(1.0, abs=1e-12)
-
-    def test_accepts_density_matrix_via_twirl(self):
-        rho = apply(amplitude_damping(0.3), bell_pair(), target=1)
-        out = dejmps_branch_map(rho, rho)
-        assert 0 < out.success_probability < 1
+        assert sum(out.probabilities) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,7 +181,7 @@ def test_branch_map_matches_simulation(q, r):
             dejmps_branch_map(pair1, pair2)
         return
     out = dejmps_branch_map(pair1, pair2)
-    assert sum(b.probability for b in out.branches) == pytest.approx(1.0, abs=1e-12)
+    assert sum(out.probabilities) == pytest.approx(1.0, abs=1e-12)
     check_against_simulation(out, q, r)
 
 
@@ -228,7 +221,7 @@ class TestRecursive:
 
     def test_global_state_is_branch_mixture(self):
         out = dejmps_recursive(4, werner_from_channel(0.2), 2)
-        mix = sum(b.probability * b.state.to_density_matrix().matrix for b in out.branches)
+        mix = sum(p * s.to_density_matrix().matrix for p, s in zip(out.probabilities, out.states))
         assert np.abs(mix - out.global_state.to_density_matrix().matrix).max() < 1e-10
 
     def test_convexity_bound_on_global(self):
@@ -237,7 +230,7 @@ class TestRecursive:
         out = dejmps_recursive(4, werner_from_channel(0.2), 2)
         global_er = er_bell_diagonal(out.global_state).value
         branch_avg = sum(
-            b.probability * er_bell_diagonal(b.state).value for b in out.branches
+            p * er_bell_diagonal(s).value for p, s in zip(out.probabilities, out.states)
         )
         assert global_er <= branch_avg + 1e-9
         assert global_er <= out.success_probability + 1e-9
@@ -257,53 +250,45 @@ class TestRecursive:
 
 
 class TestOutcomeInvariants:
-    def test_inconsistent_global_rejected(self):
-        from entshape.protocols import Branch
+    GOOD = BellDiagonalState((1, 0, 0, 0))
 
-        good = BellDiagonalState((1, 0, 0, 0))
-        with pytest.raises(ValueError, match="mixture"):
-            DistillationOutcome(
-                (Branch(1.0, True, good),),
-                1.0,
-                BellDiagonalState((0.25, 0.25, 0.25, 0.25)),
-                good,
-            )
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one state per"):
+            DistillationOutcome((0.5, 0.5), (self.GOOD,))
 
-    def test_inconsistent_success_probability_rejected(self):
-        from entshape.protocols import Branch
+    def test_negative_probability_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            DistillationOutcome((-0.5, 1.5), (self.GOOD, self.GOOD))
 
-        good = BellDiagonalState((1, 0, 0, 0))
-        with pytest.raises(ValueError, match="success"):
-            DistillationOutcome(
-                (Branch(1.0, True, good),),
-                0.5,
-                good,
-                good,
-            )
+    def test_probabilities_not_summing_to_one_rejected(self):
+        with pytest.raises(ValueError, match="sum to"):
+            DistillationOutcome((0.25, 0.5), (self.GOOD, self.GOOD))
+
+
+def _monte_carlo(state, run_count, seed):
+    """(exact two-round table over four pairs, its Monte Carlo statistics)."""
+    exact = dejmps_recursive(4, state, 2)
+    indices = sample_branch_indices(exact.probabilities, seed, run_count)
+    return exact, dejmps_monte_carlo(exact, indices)
 
 
 class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self):
         state = werner_from_channel(0.2)
-        a = dejmps_monte_carlo(4, state, 2, 5000, 99)
-        b = dejmps_monte_carlo(4, state, 2, 5000, 99)
+        _, a = _monte_carlo(state, 5000, 99)
+        _, b = _monte_carlo(state, 5000, 99)
         assert a.success_mean == b.success_mean
         assert a.er_global_mean == b.er_global_mean
 
     @pytest.mark.parametrize("fidelity", [0.7, 0.8, 0.9])
     def test_branch_frequencies_match_exact_tree(self, fidelity):
-        # Indices 0..rounds-1 are first-failure rounds, index rounds is success;
-        # the exact tree lists success first, then failures in round order.
+        # Indices 0..rounds-1 are first-failure rounds, index rounds is success.
         state = werner_from_channel(1 - fidelity)
         exact = dejmps_recursive(4, state, 2)
-        expected = np.array(
-            [b.probability for b in exact.branches if not b.success]
-            + [exact.success_probability]
-        )
+        expected = np.array(exact.probabilities)
         assert len(expected) == 3
         count = 200_000
-        probs, _ = first_failure_branches(state, 2, 4)
-        freq = np.bincount(sample_branch_indices(probs, 4321, count), minlength=3) / count
+        freq = np.bincount(sample_branch_indices(exact.probabilities, 4321, count), minlength=3) / count
         sigma = np.sqrt(expected * (1 - expected) / count)
         assert np.all(np.abs(freq - expected) <= 5 * sigma)
 
@@ -311,21 +296,20 @@ class TestMonteCarlo:
     def test_agrees_with_exact_tree(self, fidelity):
         state = werner_from_channel(1 - fidelity)
         assert state.fidelity == pytest.approx(fidelity, abs=1e-12)
-        mc = dejmps_monte_carlo(4, state, 2, 10_000, 2024)
-        exact = mc.exact
+        exact, mc = _monte_carlo(state, 10_000, 2024)
         assert abs(mc.success_mean - exact.success_probability) <= 3 * mc.success_se
         exact_fid = exact.global_state.fidelity
         assert abs(mc.fidelity_mean - exact_fid) <= 3 * mc.fidelity_se
 
     def test_er_estimates_track_exact(self):
         state = werner_from_channel(0.2)
-        mc = dejmps_monte_carlo(4, state, 2, 10_000, 7)
-        exact_global = er_bell_diagonal(mc.exact.global_state).value
+        exact, mc = _monte_carlo(state, 10_000, 7)
+        exact_global = er_bell_diagonal(exact.global_state).value
         assert abs(mc.er_global_mean - exact_global) <= max(3 * mc.er_global_std, 5e-3)
 
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError):
-            dejmps_monte_carlo(4, werner(0.8), 2, 0, 1)
+            _monte_carlo(werner(0.8), 0, 1)
 
 
 class TestPesPipeline:
