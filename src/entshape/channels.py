@@ -1,13 +1,12 @@
 """Quantum channels as Kraus-operator lists, plus decoupling transforms.
 
 A channel is a finite list of Kraus operators satisfying the completeness
-relation sum K_i^dag K_i = I. Channels carry a family tag so that the
-parametric decoupling transform knows which parameter to compress.
+relation sum K_i^dag K_i = I.
 
-Two pulse-sequence transforms are exposed:
+Two decoupling models are exposed:
 
-* :func:`dd_effective_parametric` applies the compression rule
-  p' = p * exp(-gamma_sd / f_dd) to the channel's noise parameter.
+* :func:`dd_compression` is the parametric rule's factor exp(-gamma_sd / f_dd);
+  a shaped channel is the same constructor at p' = p * dd_compression(...).
 * :func:`dd_effective_pulse_average` builds the channel
   rho -> (1/4) sum_k N(P_k rho P_k^dag) over the four Paulis, exactly the
   displayed pulse-average form, with Kraus set {K_i P_k / 2}. Note that
@@ -40,20 +39,14 @@ from .qstate import (
 COMPLETENESS_TOL = 1e-10
 PRUNE_TOL = 1e-12
 
-DEPOLARIZING = "depolarizing"
-AMPLITUDE_DAMPING = "amplitude_damping"
-CUSTOM = "custom"
-
 
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
-    """CPTP map given by Kraus operators, with family metadata."""
+    """CPTP map given by Kraus operators."""
 
     kraus_ops: tuple[np.ndarray, ...]
-    family: str
-    param: float | None
 
-    def __init__(self, kraus_ops: Sequence[np.ndarray], family: str = CUSTOM, param: float | None = None):
+    def __init__(self, kraus_ops: Sequence[np.ndarray]):
         ops = tuple(as_operator(k) for k in kraus_ops)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
@@ -69,8 +62,6 @@ class QuantumChannel:
             c.setflags(write=False)
             frozen.append(c)
         object.__setattr__(self, "kraus_ops", tuple(frozen))
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "param", param)
 
     @property
     def dim(self) -> int:
@@ -78,7 +69,7 @@ class QuantumChannel:
 
 
 def identity_channel(dim: int = 2) -> QuantumChannel:
-    return QuantumChannel([np.eye(dim, dtype=complex)], CUSTOM, None)
+    return QuantumChannel([np.eye(dim, dtype=complex)])
 
 
 def depolarizing(p: float) -> QuantumChannel:
@@ -88,7 +79,7 @@ def depolarizing(p: float) -> QuantumChannel:
         raise ValueError(f"depolarizing parameter {p} outside [0, 3/4]")
     k = math.sqrt(p / 3)
     ops = [math.sqrt(1 - p) * I2, k * X, k * Y, k * Z]
-    return QuantumChannel(ops, DEPOLARIZING, p)
+    return QuantumChannel(ops)
 
 
 def amplitude_damping(gamma: float) -> QuantumChannel:
@@ -98,7 +89,7 @@ def amplitude_damping(gamma: float) -> QuantumChannel:
         raise ValueError(f"damping parameter {gamma} outside [0, 1]")
     k0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
     k1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
-    return QuantumChannel([k0, k1], AMPLITUDE_DAMPING, gamma)
+    return QuantumChannel([k0, k1])
 
 
 def _embed(op: np.ndarray, target: int, dims: Sequence[int]) -> np.ndarray:
@@ -131,7 +122,7 @@ def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
             k = a @ b
             if np.linalg.norm(k) > PRUNE_TOL:
                 ops.append(k)
-    return QuantumChannel(ops, CUSTOM, None)
+    return QuantumChannel(ops)
 
 
 def transmit_bell_pair(channel: QuantumChannel, sides: str = "one") -> DensityMatrix:
@@ -164,43 +155,20 @@ def is_entanglement_breaking(channel: QuantumChannel) -> EBResult:
     return EBResult(min_eig >= -1e-10, min_eig)
 
 
-@dataclass(frozen=True, eq=False)
-class DDConfig:
-    """Decoupling pulse settings for the parametric compression.
+def dd_compression(noise_spectral_density: float, pulse_frequency: float) -> float:
+    """exp(-gamma_sd / f_dd), the parametric decoupling factor: p' = p * factor.
 
-    ``noise_spectral_density`` and ``pulse_frequency`` share inverse-time
-    units; only their ratio enters the compression. This spectral density is
-    a different quantity from the damping parameter of
-    :func:`amplitude_damping`, despite the conventional shared symbol.
-    """
-
-    pulse_frequency: float = 10.0
-    noise_spectral_density: float = 0.0
-
-    def __post_init__(self):
-        if self.pulse_frequency <= 0:
-            raise ValueError("pulse_frequency must be positive")
-        if self.noise_spectral_density < 0:
-            raise ValueError("noise_spectral_density must be non-negative")
-
-    @property
-    def compression(self) -> float:
-        """exp(-gamma_sd / f_dd), the parametric noise compression factor."""
-        return math.exp(-self.noise_spectral_density / self.pulse_frequency)
-
-
-def dd_effective_parametric(channel: QuantumChannel, cfg: DDConfig) -> QuantumChannel:
-    """Same channel family with parameter compressed by exp(-gamma_sd/f_dd).
-
-    Note the formula's own limit: as f_dd -> infinity the compression factor
+    The two arguments share inverse-time units; only their ratio enters.
+    This spectral density is a different quantity from the damping
+    parameter of :func:`amplitude_damping`, despite the conventional shared
+    symbol. Note the formula's own limit: as f_dd -> infinity the factor
     tends to 1, i.e. p' -> p, not p' -> 0.
     """
-    scaled = channel.param * cfg.compression if channel.param is not None else None
-    if channel.family == DEPOLARIZING:
-        return depolarizing(scaled)
-    if channel.family == AMPLITUDE_DAMPING:
-        return amplitude_damping(scaled)
-    raise ValueError("parametric compression is defined only for tagged channel families")
+    if pulse_frequency <= 0:
+        raise ValueError("pulse_frequency must be positive")
+    if noise_spectral_density < 0:
+        raise ValueError("noise_spectral_density must be non-negative")
+    return math.exp(-noise_spectral_density / pulse_frequency)
 
 
 def dd_effective_pulse_average(channel: QuantumChannel) -> QuantumChannel:
@@ -215,7 +183,7 @@ def dd_effective_pulse_average(channel: QuantumChannel) -> QuantumChannel:
     if channel.dim != 2:
         raise ValueError("pulse averaging is implemented for qubit channels")
     ops = [0.5 * (k @ p) for p in PAULIS for k in channel.kraus_ops]
-    return QuantumChannel(ops, CUSTOM, None)
+    return QuantumChannel(ops)
 
 
 def pauli_twirl(channel: QuantumChannel) -> QuantumChannel:
@@ -227,7 +195,7 @@ def pauli_twirl(channel: QuantumChannel) -> QuantumChannel:
     if channel.dim != 2:
         raise ValueError("Pauli twirl is implemented for qubit channels")
     ops = [0.5 * (p.conj().T @ k @ p) for p in PAULIS for k in channel.kraus_ops]
-    return QuantumChannel(ops, CUSTOM, None)
+    return QuantumChannel(ops)
 
 
 def eb_threshold_depolarizing(tol: float = 1e-10) -> float:

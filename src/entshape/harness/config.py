@@ -28,6 +28,8 @@ ER_PARAM_DOMAINS = {
 MAX_RUN_COUNT = 10**7
 MAX_SWEEP_COUNT = 10**4
 MAX_TRAJECTORY_SAMPLES = 10**5
+# Past 2**1023 the per-round node count no longer converts to a float.
+MAX_N_PAIRS = 2**64
 
 # Effective noise parameter of the shaping rows when p_prime is not set.
 DEFAULT_P_PRIME = 0.17
@@ -82,7 +84,10 @@ class ExperimentConfig:
             raise ConfigError(f"p_prime = {self.p_prime} outside [0, 3/4]")
         if self.n_pairs < 1 or (self.n_pairs & (self.n_pairs - 1)) != 0:
             raise ConfigError(f"n_pairs = {self.n_pairs} is not a power of two")
-        if self.rounds < 0 or 2**self.rounds > self.n_pairs:
+        if self.n_pairs > MAX_N_PAIRS:
+            raise ConfigError(f"n_pairs = 2**{self.n_pairs.bit_length() - 1} exceeds {MAX_N_PAIRS}")
+        # n_pairs is a power of two, so 2**rounds <= n_pairs reads off its bit length.
+        if self.rounds < 0 or self.rounds >= self.n_pairs.bit_length():
             raise ConfigError(f"rounds = {self.rounds} too large for {self.n_pairs} pairs")
         if not (1 <= self.run_count <= MAX_RUN_COUNT):
             raise ConfigError(f"run_count = {self.run_count} outside [1, {MAX_RUN_COUNT}]")

@@ -23,10 +23,10 @@ import numpy as np
 
 from .. import __version__
 from ..channels import (
-    DDConfig,
     amplitude_damping,
     apply,  # not called here; perfbench/tracer.py's self-test reads experiments.apply
     choi,
+    dd_compression,
     dd_effective_pulse_average,
     depolarizing,
     eb_threshold_depolarizing,
@@ -51,7 +51,6 @@ from ..protocols import (
     dejmps_recursive,
     first_failure_branches,
     hashing_rate,
-    pes_pipeline,
     sample_branch_indices,
 )
 from ..qstate import (
@@ -137,19 +136,23 @@ def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> N
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def paper_bridge_fidelity(geometry: str, p: float) -> float:
+    """Claim-side bridge F = 1 - p per transit, composed multiplicatively for two."""
+    return (1 - p) if geometry == "one" else (1 - p) ** 2
+
+
 def input_pair_state(bridge: str, geometry: str, p: float) -> BellDiagonalState:
     """Per-pair post-channel state under one documented convention.
 
     * ``oracle``: exact Kraus application of the depolarizing channel to the
       transmitted qubit(s) of a Bell pair.
-    * ``paper``: the F-mixture Werner state at F = 1 - p per transit (the
-      claim-side bridge), composed multiplicatively for two transits.
+    * ``paper``: the F-mixture Werner state at the bridge fidelity
+      :func:`paper_bridge_fidelity`.
     """
     if bridge == "oracle":
         return bell_projection(transmit_bell_pair(depolarizing(p), geometry))
     if bridge == "paper":
-        f_eff = (1 - p) if geometry == "one" else (1 - p) ** 2
-        return werner(f_eff)
+        return werner(paper_bridge_fidelity(geometry, p))
     raise ConfigError(f"unknown convention {bridge!r}")
 
 
@@ -175,8 +178,7 @@ def calibrate_p_prime(target_er: float, bridge: str, geometry: str, p_raw: float
 
     def per_pair_er(p_prime: float) -> float:
         if bridge == "paper":
-            f_bridge = (1 - p_prime) if geometry == "one" else (1 - p_prime) ** 2
-            return er_bell_fidelity(f_bridge, clamp=False)
+            return er_bell_fidelity(paper_bridge_fidelity(geometry, p_prime), clamp=False)
         return er_bell_diagonal(input_pair_state(bridge, geometry, p_prime)).value
 
     lo, hi = 1e-9, 0.75 - 1e-9
@@ -251,25 +253,21 @@ def _distillation_row(cfg: ExperimentConfig, state: BellDiagonalState, bridge: s
 def _pes_row(cfg: ExperimentConfig, bridge: str, geometry: str, p_prime: float, label: str) -> dict:
     """Shaping-pipeline row at one effective noise parameter.
 
-    Under the first-principles bridge the row runs the actual shaping
-    pipeline with a decoupling configuration whose compression realizes the
-    requested p' (noise density / f_dd = ln(p/p'), the only combination the
-    compression reads, so f_dd is fixed at 1); when p' exceeds the raw
-    parameter the compression formula cannot reach it, so the state is
-    constructed directly and the row says so. The claim-side bridge has no
-    channel realization (it is a parameter identification), so its states
-    are always constructed directly.
+    The shaped pair is the input pair at the realized parameter. Under the
+    first-principles bridge that parameter is the decoupling compression of
+    the raw one, p * exp(-gamma_sd / f_dd) with gamma_sd / f_dd = ln(p/p')
+    (the only combination the compression reads, so f_dd is fixed at 1).
+    When p' exceeds the raw parameter the compression cannot reach it, so
+    the row uses p' itself and says so. The claim-side bridge has no channel
+    realization (it is a parameter identification), so it always uses p'.
     """
     dd_reachable = 0 < p_prime <= cfg.p
-    dd_ratio = math.log(cfg.p / p_prime) if dd_reachable and p_prime > 0 else None
+    dd_ratio = math.log(cfg.p / p_prime) if dd_reachable else None
     if bridge == "oracle" and dd_reachable:
-        dd_cfg = DDConfig(noise_spectral_density=dd_ratio, pulse_frequency=1.0)
-        pes = pes_pipeline(depolarizing(cfg.p), dd_cfg, sides=geometry)
-        state = bell_projection(pes.pair)
-        realized = pes.effective_channel.param
+        realized = cfg.p * dd_compression(dd_ratio, 1.0)
     else:
-        state = input_pair_state(bridge, geometry, p_prime)
         realized = p_prime
+    state = input_pair_state(bridge, geometry, realized)
     ers = er_pair(state)
     return {
         "protocol": label,
@@ -319,11 +317,10 @@ def _static_claim_entries() -> list[dict]:
             "bisection on the minimal partial-transpose eigenvalue of the Choi state",
         )
     )
-    dd = DDConfig(noise_spectral_density=1.0, pulse_frequency=1e12)
     entries.append(
         discrepancy_entry(
             claim("dd_limit"),
-            0.2 * dd.compression,
+            0.2 * dd_compression(1.0, 1e12),
             "compression formula evaluated at pulse frequency 1e12 from p = 0.2: "
             "the formula's high-frequency limit is p' -> p, not p' -> 0",
         )
@@ -570,18 +567,12 @@ def run_flow(cfg: ExperimentConfig) -> ExperimentResult:
     p_prime = cfg.p_prime if cfg.p_prime is not None else DEFAULT_P_PRIME
     post_traj, pes_traj = trajectory(cfg.p, p_prime, 1.0, cfg.t_total, cfg.t_step)
 
-    state = input_pair_state(
-        "oracle" if cfg.convention == "both" else cfg.convention,
-        "one" if cfg.sides == "both" else cfg.sides,
-        cfg.p,
-    )
+    bridge = "oracle" if cfg.convention == "both" else cfg.convention
+    geometry = "one" if cfg.sides == "both" else cfg.sides
+    state = input_pair_state(bridge, geometry, cfg.p)
     exact = dejmps_recursive(cfg.n_pairs, state, cfg.rounds)
     global_bd = exact.global_state
-    pes_state = input_pair_state(
-        "oracle" if cfg.convention == "both" else cfg.convention,
-        "one" if cfg.sides == "both" else cfg.sides,
-        p_prime,
-    )
+    pes_state = input_pair_state(bridge, geometry, p_prime)
 
     def point(name: str, bd: BellDiagonalState) -> dict:
         _, mixed = purity_and_mixedness(bd.to_density_matrix())

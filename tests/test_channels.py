@@ -2,28 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entshape.channels import (
-    DDConfig,
     QuantumChannel,
     amplitude_damping,
     apply,
     choi,
     compose,
-    dd_effective_parametric,
+    dd_compression,
     dd_effective_pulse_average,
     depolarizing,
     eb_threshold_depolarizing,
     identity_channel,
     is_entanglement_breaking,
     pauli_twirl,
+    transmit_bell_pair,
 )
 from entshape.qstate import (
     BellDiagonalState,
     DensityMatrix,
     bell_pair,
     bell_projection,
+    partial_trace,
     random_density_matrix,
+    werner,
 )
 
 
@@ -206,56 +210,66 @@ class TestCompose:
 class TestDDConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            DDConfig(pulse_frequency=0)
+            dd_compression(1.0, 0)
         with pytest.raises(ValueError):
-            DDConfig(noise_spectral_density=-1)
+            dd_compression(-1, 10.0)
 
     def test_compression_factor(self):
-        cfg = DDConfig(noise_spectral_density=math.log(0.2 / 0.17), pulse_frequency=1.0)
-        assert cfg.compression == pytest.approx(0.85, abs=1e-12)
+        assert dd_compression(math.log(0.2 / 0.17), 1.0) == pytest.approx(0.85, abs=1e-12)
 
 
 class TestParametricCompression:
     def test_no_noise_keeps_parameter(self):
-        cfg = DDConfig(noise_spectral_density=0.0)
-        out = dd_effective_parametric(depolarizing(0.2), cfg)
-        assert out.param == pytest.approx(0.2, abs=1e-15)
+        assert 0.2 * dd_compression(0.0, 10.0) == pytest.approx(0.2, abs=1e-15)
 
     def test_reaches_claimed_effective_parameter(self):
-        cfg = DDConfig(noise_spectral_density=math.log(0.2 / 0.17), pulse_frequency=1.0)
-        out = dd_effective_parametric(depolarizing(0.2), cfg)
-        assert out.param == pytest.approx(0.17, abs=1e-12)
-        assert out.family == "depolarizing"
+        assert 0.2 * dd_compression(math.log(0.2 / 0.17), 1.0) == pytest.approx(0.17, abs=1e-12)
 
     def test_high_frequency_limit_is_raw_parameter(self):
         # The compression formula tends to 1 as the frequency grows, so the
         # effective parameter tends to p, not to 0.
-        cfg = DDConfig(noise_spectral_density=1.0, pulse_frequency=1e12)
-        out = dd_effective_parametric(depolarizing(0.2), cfg)
-        assert out.param == pytest.approx(0.2, rel=1e-9)
-
-    def test_damping_family(self):
-        cfg = DDConfig(noise_spectral_density=0.5, pulse_frequency=2.0)
-        out = dd_effective_parametric(amplitude_damping(0.4), cfg)
-        assert out.param == pytest.approx(0.4 * math.exp(-0.25), abs=1e-12)
-
-    def test_custom_family_rejected(self):
-        with pytest.raises(ValueError):
-            dd_effective_parametric(identity_channel(), DDConfig())
+        assert 0.2 * dd_compression(1.0, 1e12) == pytest.approx(0.2, rel=1e-9)
 
     def test_monotonicity(self):
         previous = 1.0
         for density in np.linspace(0, 3, 10):
-            cfg = DDConfig(noise_spectral_density=float(density), pulse_frequency=5.0)
-            param = dd_effective_parametric(depolarizing(0.3), cfg).param
+            param = 0.3 * dd_compression(float(density), 5.0)
             assert param <= previous + 1e-15
             previous = param
         previous = 0.0
         for freq in np.linspace(0.5, 20, 10):
-            cfg = DDConfig(noise_spectral_density=1.0, pulse_frequency=float(freq))
-            param = dd_effective_parametric(depolarizing(0.3), cfg).param
+            param = 0.3 * dd_compression(1.0, float(freq))
             assert param >= previous - 1e-15
             previous = param
+
+
+class TestTransmitBellPair:
+    def test_two_sided_geometry(self):
+        out = transmit_bell_pair(depolarizing(0.2), sides="two")
+        w = (1 - 4 * 0.2 / 3) ** 2
+        expected = werner((4 * ((1 + 3 * w) / 4) - 1) / 3)
+        assert np.abs(out.matrix - expected.to_density_matrix().matrix).max() < 1e-10
+
+    def test_invalid_sides(self):
+        with pytest.raises(ValueError):
+            transmit_bell_pair(depolarizing(0.2), sides="three")
+
+
+channel_families = st.one_of(
+    st.floats(0.0, 0.75).map(depolarizing),
+    st.floats(0.0, 1.0).map(amplitude_damping),
+)
+
+
+@given(base=channel_families)
+@settings(max_examples=60, deadline=None)
+def test_every_constructor_is_cptp(base):
+    # A valid Choi state is complete positivity; its input marginal I/2 is
+    # trace preservation. Both transforms must keep both.
+    for channel in (base, pauli_twirl(base), dd_effective_pulse_average(base)):
+        c = DensityMatrix(choi(channel).matrix, (2, 2))
+        marginal = partial_trace(c, [0]).matrix
+        assert np.abs(marginal - np.eye(2) / 2).max() < 1e-12
 
 
 class TestPulseAverage:

@@ -1,17 +1,26 @@
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entshape.entanglement import er_bell_diagonal
 from entshape.harness.claims import CLAIMS, claim
 from entshape.harness.config import (
+    CONVENTIONS,
     DEFAULT_P_PRIME,
+    ER_STATES,
+    MAX_N_PAIRS,
     MAX_RUN_COUNT,
     MAX_SWEEP_COUNT,
     MAX_TRAJECTORY_SAMPLES,
+    SIDES,
     ConfigError,
+    ExperimentConfig,
     build_config,
     load_config_file,
     parse_value,
@@ -22,6 +31,7 @@ from entshape.harness.experiments import (
     run,
 )
 from entshape.harness.report import discrepancy_entry, render_report
+from entshape.qstate import werner_from_channel
 
 
 def cli(*args):
@@ -111,6 +121,15 @@ class TestConfig:
         # Only flow compares a compressed trajectory against the raw one.
         build_config("table1", {"convention": "oracle", "p_prime": 0.5})
 
+    def test_n_pairs_cap(self):
+        build_config("table1", {"convention": "oracle", "n_pairs": MAX_N_PAIRS})
+        with pytest.raises(ConfigError, match="n_pairs"):
+            build_config("table1", {"convention": "oracle", "n_pairs": 2 * MAX_N_PAIRS})
+        # A huge rounds value is rejected without building 2**rounds.
+        for rounds in (65, 10**18):
+            with pytest.raises(ConfigError, match="rounds"):
+                build_config("table1", {"convention": "oracle", "n_pairs": MAX_N_PAIRS, "rounds": rounds})
+
     def test_removed_keys_rejected(self):
         for key in (
             "workers", "ad_grid", "ad_slices", "batch_count",
@@ -118,6 +137,72 @@ class TestConfig:
         ):
             with pytest.raises(ConfigError, match="unknown"):
                 parse_value(key, "1")
+
+
+@st.composite
+def config_values(draw):
+    """Every configurable key at a value that passes validation for selfcheck."""
+    exponent = draw(st.integers(0, 64))
+    sweep_start = draw(st.floats(0.0, 0.7))
+    t_step = draw(st.floats(1e-3, 1.0))
+    return {
+        "convention": draw(st.sampled_from(CONVENTIONS)),
+        "sides": draw(st.sampled_from(SIDES)),
+        "p": draw(st.floats(0.0, 0.75)),
+        "gamma": draw(st.floats(0.0, 1.0)),
+        "p_prime": draw(st.floats(0.0, 0.75)),
+        "n_pairs": 2**exponent,
+        "rounds": draw(st.integers(0, exponent)),
+        "run_count": draw(st.integers(1, MAX_RUN_COUNT)),
+        "master_seed": draw(st.integers(0, 2**64 - 1)),
+        "er_state": draw(st.sampled_from(ER_STATES)),
+        # [0, 3/4] lies inside every state family's domain.
+        "er_param": draw(st.floats(0.0, 0.75)),
+        "sweep_start": sweep_start,
+        "sweep_stop": draw(st.floats(sweep_start, 0.75, exclude_min=True)),
+        "sweep_count": draw(st.integers(2, MAX_SWEEP_COUNT)),
+        "t_total": draw(st.floats(t_step, 1000 * t_step)),
+        "t_step": t_step,
+        "out_dir": draw(st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)),
+        "quiet": draw(st.booleans()),
+    }
+
+
+def _load_lines(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        return load_config_file(path)
+
+
+FLOAT_KEYS = ("p", "gamma", "p_prime", "er_param", "sweep_start", "sweep_stop", "t_total", "t_step")
+
+
+class TestConfigProperties:
+    @given(values=config_values())
+    @settings(max_examples=60, deadline=None)
+    def test_file_round_trip(self, values):
+        overrides = _load_lines(f"{key} = {value}" for key, value in values.items())
+        assert overrides == values
+        cfg = build_config("selfcheck", overrides)
+        assert {key: getattr(cfg, key) for key in values} == values
+
+    @given(
+        key=st.from_regex(r"[a-z_]{1,16}", fullmatch=True).filter(
+            lambda k: k not in ExperimentConfig.__dataclass_fields__
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(ConfigError, match="unknown"):
+            _load_lines([f"{key} = 1"])
+
+    @given(key=st.sampled_from(FLOAT_KEYS), raw=st.sampled_from(["nan", "inf", "-inf"]))
+    @settings(max_examples=30, deadline=None)
+    def test_non_finite_rejected(self, key, raw):
+        overrides = _load_lines([f"{key} = {raw}"])
+        with pytest.raises(ConfigError, match="not finite"):
+            build_config("selfcheck", overrides)
 
 
 class TestConventions:
@@ -202,6 +287,19 @@ class TestExperiments:
         assert doc["experiment"] == "table1"
         claim_keys = {d["claim"] for d in doc["discrepancies"]}
         assert {"table1_success", "table1_er_global", "pes_calibration"} <= claim_keys
+
+    def test_pes_row_realizes_compressed_parameter(self, tmp_path):
+        cfg = build_config(
+            "table1",
+            {"convention": "oracle", "sides": "one", "out_dir": str(tmp_path), "run_count": 100},
+        )
+        result = run(cfg)
+        row = next(r for r in result.rows if r["protocol"] == "pre_channel_shaping")
+        assert cfg.p == 0.2 and row["p_prime"] == 0.17
+        assert row["p_prime_realized"] == pytest.approx(0.17, abs=1e-12)
+        assert row["er_per_pair_oracle"] == pytest.approx(
+            er_bell_diagonal(werner_from_channel(0.17)).value, abs=1e-9
+        )
 
     def test_table2_damping_gap_carries_interval(self, tmp_path):
         cfg = build_config(
@@ -384,6 +482,13 @@ class TestCLI:
         proc = cli("flow", "--convention", "oracle", "--config", str(config), "--out", str(tmp_path))
         assert proc.returncode == 2, proc.stderr
         assert "p_prime" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_huge_n_pairs_exits_two(self, tmp_path):
+        config = tmp_path / "huge.cfg"
+        config.write_text(f"n_pairs = {2**1100}\n")
+        proc = cli("table1", "--convention", "oracle", "--config", str(config), "--out", str(tmp_path))
+        assert proc.returncode == 2, proc.stderr
+        assert "n_pairs" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_huge_trajectory_exits_two(self, tmp_path):
         # One sample past the cap, so a missing check would cost a second,

@@ -6,16 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entshape.channels import DDConfig, amplitude_damping, apply, depolarizing
+from entshape.channels import amplitude_damping, apply
 from entshape.entanglement import er_bell_diagonal, er_numeric
-from entshape.harness.experiments import input_pair_state
 from entshape.protocols import (
     DistillationOutcome,
     dejmps_branch_map,
     dejmps_monte_carlo,
     dejmps_recursive,
     hashing_rate,
-    pes_pipeline,
     sample_branch_indices,
 )
 from entshape.qstate import (
@@ -24,7 +22,6 @@ from entshape.qstate import (
     DensityMatrix,
     X,
     bell_pair,
-    bell_projection,
     werner,
     werner_from_channel,
 )
@@ -310,54 +307,6 @@ class TestMonteCarlo:
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError):
             _monte_carlo(werner(0.8), 0, 1)
-
-
-class TestPesPipeline:
-    def test_no_decoupling_equals_plain_channel(self):
-        cfg = DDConfig(noise_spectral_density=0.0)
-        out = pes_pipeline(depolarizing(0.2), cfg)
-        plain = apply(depolarizing(0.2), bell_pair(), target=1)
-        assert np.abs(out.pair.matrix - plain.matrix).max() < 1e-12
-
-    def test_compressed_parameter_entanglement(self):
-        cfg = DDConfig(noise_spectral_density=math.log(0.2 / 0.17), pulse_frequency=1.0)
-        out = pes_pipeline(depolarizing(0.2), cfg)
-        assert out.effective_channel.param == pytest.approx(0.17, abs=1e-12)
-        assert er_bell_diagonal(BellDiagonalState.from_density_matrix(out.pair)).value == pytest.approx(
-            er_bell_diagonal(werner_from_channel(0.17)).value, abs=1e-9
-        )
-
-    def test_deterministic(self):
-        cfg = DDConfig(noise_spectral_density=0.5)
-        a = pes_pipeline(depolarizing(0.2), cfg)
-        b = pes_pipeline(depolarizing(0.2), cfg)
-        assert np.array_equal(a.pair.matrix, b.pair.matrix)
-
-    def test_two_sided_geometry(self):
-        cfg = DDConfig(noise_spectral_density=0.0)
-        out = pes_pipeline(depolarizing(0.2), cfg, sides="two")
-        w = (1 - 4 * 0.2 / 3) ** 2
-        expected = werner((4 * ((1 + 3 * w) / 4) - 1) / 3)
-        assert np.abs(out.pair.matrix - expected.to_density_matrix().matrix).max() < 1e-10
-
-    @given(
-        p=st.floats(0.0, 0.75),
-        density=st.floats(0.0, 3.0),
-        sides=st.sampled_from(["one", "two"]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_shaped_pair_is_the_input_pair_at_the_compressed_parameter(self, p, density, sides):
-        # The shaping row reads the pipeline's pair as the oracle input pair
-        # at the realized parameter p'; the two must agree weight for weight.
-        cfg = DDConfig(noise_spectral_density=density, pulse_frequency=1.0)
-        out = pes_pipeline(depolarizing(p), cfg, sides)
-        BellDiagonalState.from_density_matrix(out.pair, tol=1e-12)
-        expected = input_pair_state("oracle", sides, out.effective_channel.param)
-        assert bell_projection(out.pair).coefficients == expected.coefficients
-
-    def test_invalid_sides(self):
-        with pytest.raises(ValueError):
-            pes_pipeline(depolarizing(0.2), DDConfig(), sides="three")
 
 
 class TestRotationSearch:
