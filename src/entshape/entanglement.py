@@ -277,7 +277,10 @@ def _ppt_newton(rho: np.ndarray) -> tuple[np.ndarray, int]:
 
     While the Newton decrement is at least 0.1 a step must pass an Armijo
     test; below that F_t (of size t) rounds above the decrease, so every
-    feasible step is taken. A stage ends when the decrement stops shrinking.
+    feasible step is taken. An intermediate stage only has to give the next
+    one a good start (Boyd & Vandenberghe 2004, section 11.3), so it ends as
+    soon as the decrement drops below 0.1; the last stage, whose center is
+    the result, ends when the decrement stops shrinking.
     Steps are least-squares solutions of the diagonally scaled Newton system:
     in late stages the partial-transpose barrier outweighs the rest of the
     Hessian by up to 1e17, which leaves it singular to rounding on symmetric
@@ -291,7 +294,7 @@ def _ppt_newton(rho: np.ndarray) -> tuple[np.ndarray, int]:
             scale = 1 / np.sqrt(np.diag(hess))
             step = -scale * np.linalg.lstsq(hess * np.outer(scale, scale), scale * grad, rcond=None)[0]
             decrement = -grad @ step
-            if not decrement > 0 or (decrement < 0.1 and decrement >= last):
+            if not decrement > 0 or (decrement < 0.1 and (decrement >= last or 8 / t > _BARRIER_GAP)):
                 break
             last, length = decrement, 1.0
             while length > 1e-12:

@@ -30,10 +30,12 @@ from entshape.qstate import (
     bell_state,
     partial_trace,
     random_density_matrix,
+    relative_entropy,
     von_neumann_entropy,
     werner,
     werner_from_channel,
 )
+from ree_oracle import inverse_ree_pair
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -235,15 +237,26 @@ def test_criterion_9_locc_and_convexity_suites():
         return q * (np.diag(r) / np.abs(np.diag(r)))
 
     states = [random_density_matrix(rng, (2, 2)) for _ in range(20)]
+    # Ten more from the inverse-REE construction, whose REE is known exactly.
+    oracle_rng = np.random.default_rng(910)
+    exact = {}
+    while len(exact) < 10:
+        pair = inverse_ree_pair(oracle_rng, int(oracle_rng.integers(1, 5)), oracle_rng.uniform(0.1, 0.95))
+        if pair is not None:
+            exact[len(states)] = relative_entropy(*pair)
+            states.append(pair[0])
     base = [er_numeric(rho) for rho in states]
 
     # Interval statements: [lower, value] holds the REE to within CERTIFIED_GAP.
     unitary_ok = True
     worst_unitary = -1.0
-    for rho, res in zip(states, base):
+    for i, (rho, res) in enumerate(zip(states, base)):
         u = np.kron(haar2(), haar2())
         rotated = er_numeric(DensityMatrix(u @ rho.matrix @ u.conj().T, (2, 2)))
         apart = max(rotated.lower - res.value, res.lower - rotated.value)
+        if i in exact:
+            for r in (res, rotated):
+                apart = max(apart, r.lower - exact[i], exact[i] - r.value)
         worst_unitary = max(worst_unitary, apart)
         unitary_ok = unitary_ok and apart <= CERTIFIED_GAP
 
@@ -260,7 +273,7 @@ def test_criterion_9_locc_and_convexity_suites():
 
     convex_ok = True
     worst_convex = -1.0
-    for i in range(10):
+    for i in range(len(states) // 2):
         rho1, rho2 = states[2 * i], states[2 * i + 1]
         e1, e2 = base[2 * i].value, base[2 * i + 1].value
         for lam in (0.25, 0.5, 0.75):
@@ -271,7 +284,8 @@ def test_criterion_9_locc_and_convexity_suites():
     report(
         9,
         unitary_ok and dephase_ok and convex_ok,
-        f"20-state suites, as certified intervals: local-unitary invariance worst "
+        f"30-state suites (20 Ginibre, 10 inverse-REE with exact values), as certified "
+        f"intervals: local-unitary invariance worst "
         f"separation {worst_unitary:.2e} (tol {CERTIFIED_GAP:.0e}), measure-and-discard "
         f"never increases (tol {CERTIFIED_GAP:.0e}), convexity worst excess of the "
         f"mixture's lower bound {worst_convex:.2e} (tol {CERTIFIED_GAP:.0e})",

@@ -31,6 +31,7 @@ from entshape.qstate import (
     werner,
     werner_from_channel,
 )
+from ree_oracle import inverse_ree_pair
 
 
 def random_product_unitary(rng):
@@ -357,6 +358,53 @@ def test_pure_state_interval_holds_entanglement_entropy(amplitudes):
     res = er_numeric(rho)
     check_general_result(rho, res)
     assert res.lower - CERTIFIED_GAP <= er_pure(psi).value <= res.value + CERTIFIED_GAP
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4), fraction=st.floats(0.1, 0.95))
+def test_inverse_ree_oracle_interval_holds_exact_value(seed, rank, fraction):
+    pair = inverse_ree_pair(np.random.default_rng(seed), rank, fraction)
+    assume(pair is not None)
+    rho, sigma = pair
+    assume(not is_x_shaped(rho))
+    exact = relative_entropy(rho, sigma)
+    res = er_numeric(rho)
+    check_general_result(rho, res)
+    assert res.lower - CERTIFIED_GAP <= exact <= res.value + CERTIFIED_GAP
+    assert abs(res.value - exact) <= 1e-10
+
+
+def test_general_path_step_budget():
+    # Intermediate barrier stages stop at decrement 0.1, which keeps these
+    # solves near 40 Newton steps; centering every stage to rounding takes
+    # 80-113, so a budget of 70 separates the two stop rules.
+    phi_plus = bell_state()
+    inputs = []
+    for gamma, theta, phase in ((0.3, math.pi / 3, math.pi / 4), (0.15, math.pi / 2, 0.0), (0.45, 2 * math.pi / 3, 1.5 * math.pi)):
+        u = np.array(
+            [
+                [math.cos(theta / 2), -math.sin(theta / 2) * np.exp(-1j * phase)],
+                [math.sin(theta / 2) * np.exp(1j * phase), math.cos(theta / 2)],
+            ]
+        )
+        rotated = DensityMatrix.from_state_vector(np.kron(np.eye(2), u) @ phi_plus, (2, 2))
+        inputs.append(apply(amplitude_damping(gamma), rotated, target=1))
+    rng = np.random.default_rng(53)
+    for w in (0.6, 0.75, 0.9):
+        psi = random_pure_state(rng)
+        tau = random_density_matrix(rng, (2, 2)).matrix
+        inputs.append(DensityMatrix(w * np.outer(psi, psi.conj()) + (1 - w) * tau, (2, 2)))
+    for rho in inputs:
+        assert not is_x_shaped(rho)
+        res = er_numeric(rho)
+        check_general_result(rho, res)
+        assert res.converged and res.iterations <= 70, res
+    for psi in (bell_state(2), random_pure_state(rng)):
+        rho = DensityMatrix.from_state_vector(psi, (2, 2))
+        res = er_numeric(rho)
+        check_general_result(rho, res)
+        assert res.converged
+        assert res.lower - CERTIFIED_GAP <= er_pure(psi).value <= res.value + CERTIFIED_GAP
 
 
 class TestMonotonicityAndConvexity:
