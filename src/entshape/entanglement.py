@@ -390,19 +390,27 @@ def _product_max(g: np.ndarray) -> float:
     return c + hi
 
 
-def _er_ppt_barrier(rho: DensityMatrix) -> ERResult:
-    """Certified interval for any qubit pair; see the barrier notes above.
+def _frank_wolfe_interval(
+    rho: DensityMatrix, certificate: SeparableAnsatz, sigma: DensityMatrix, steps: int, top: float
+) -> ERResult:
+    """Certified [lower, value] at sigma, the state the certificate assembles to.
 
-    The value is D(rho || certificate); the lower bound is the Frank-Wolfe
-    bound (Jaggi 2013) at the certificate, as on the X path.
+    value = D(rho || sigma); lower is the Frank-Wolfe bound (Jaggi 2013)
+    value - (top - 1) / ln 2, clipped at 0, where top = max <ab|G|ab> over
+    product states and G = D ln(sigma)[rho]. top = inf keeps only E_R >= 0.
     """
+    value = max(relative_entropy(rho, sigma), 0.0)
+    lower = max(value - max(top - 1.0, 0.0) / math.log(2), 0.0)
+    return ERResult(value, certificate, steps, value - lower <= CERTIFIED_GAP, lower)
+
+
+def _er_ppt_barrier(rho: DensityMatrix) -> ERResult:
+    """Certified interval for any qubit pair; see the barrier notes above."""
     sigma, steps = _ppt_newton(rho.matrix)
     certificate = _product_decomposition(sigma)
     assembled = certificate.assemble()
-    value = max(relative_entropy(rho, assembled), 0.0)
     top = _product_max(_log_gradient(rho.matrix, assembled.matrix))
-    lower = max(value - max(top - 1.0, 0.0) / math.log(2), 0.0)
-    return ERResult(value, certificate, steps, value - lower <= CERTIFIED_GAP, lower)
+    return _frank_wolfe_interval(rho, certificate, assembled, steps, top)
 
 
 # X-state reduction. rho commutes with U = diag(1, e^{it}) (x) diag(1, e^{-it});
@@ -611,8 +619,7 @@ def _er_x_state(rho: DensityMatrix) -> ERResult:
     if r * r <= pops[1] * pops[2]:
         # PPT, so separable: sigma = rho, and E_R >= 0 closes the interval.
         certificate = _x_certificate(*pops, r, phase)
-        value = max(relative_entropy(rho, certificate.assemble()), 0.0)
-        return ERResult(value, certificate, 0, value <= CERTIFIED_GAP, 0.0)
+        return _frank_wolfe_interval(rho, certificate, certificate.assemble(), 0, math.inf)
 
     steps = 0
     if pops[1] == pops[2] == 0:
@@ -626,11 +633,9 @@ def _er_x_state(rho: DensityMatrix) -> ERResult:
     e1, e2, cos, sin = math.exp(l1), math.exp(l2), math.cos(t), math.sin(t)
     a, d, x = e1 * cos * cos + e2 * sin * sin, e1 * sin * sin + e2 * cos * cos, (e1 - e2) * sin * cos
     certificate = _x_certificate(a, b, c, d, x, phase)
-    value = max(relative_entropy(rho, certificate.assemble()), 0.0)
 
-    # Frank-Wolfe lower bound (Jaggi 2013) at sigma, with G = D ln(sigma)[rho]:
-    # E_R >= D(rho||sigma) - (max_ab <ab|G|ab> - 1) / ln 2. G is taken at the
-    # X state the certificate assembles to within rounding.
+    # G = D ln(sigma)[rho] for the Frank-Wolfe bound, taken at the X state the
+    # certificate assembles to within rounding.
     g = _coherence_gradient(l1, l2, t, np.array([[pops[0], r], [r, pops[3]]]))
     # A subnormal flank population can leave its certificate flank at 0.
     ratios = [(p / f if f else math.inf) if p else 0.0 for p, f in ((pops[1], b), (pops[2], c))]
@@ -645,6 +650,5 @@ def _er_x_state(rho: DensityMatrix) -> ERResult:
         top += residue / smallest if smallest > 0 else math.inf
     if not top < math.inf:  # also NaN: keep only E_R >= 0
         top = math.inf
-    lower = max(value - max(top - 1.0, 0.0) / math.log(2), 0.0)
-    return ERResult(value, certificate, steps, value - lower <= CERTIFIED_GAP, lower)
+    return _frank_wolfe_interval(rho, certificate, certificate.assemble(), steps, top)
 

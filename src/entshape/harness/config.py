@@ -9,20 +9,24 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
+
+from ..channels import amplitude_damping, depolarizing, transmit_bell_pair
+from ..qstate import bell_pair, werner, werner_from_channel
 
 EXPERIMENTS = ("table1", "table2", "flow", "sweep", "er", "selfcheck")
 CONVENTIONS = ("paper", "oracle", "both")
 SIDES = ("one", "two", "both")
-ER_STATES = ("werner", "werner_channel", "depolarizing", "amplitude_damping", "bell")
-# Closed domain of er_param per state family; the bell state takes no parameter.
-ER_PARAM_DOMAINS = {
-    "werner": (-1 / 3, 1.0),
-    "werner_channel": (0.0, 0.75),
-    "depolarizing": (0.0, 0.75),
-    "amplitude_damping": (0.0, 1.0),
+# er_state family -> (closed domain of er_param, the state it names); bell takes no parameter.
+ER_FAMILIES = {
+    "werner": ((-1 / 3, 1.0), lambda x: werner(x).to_density_matrix()),
+    "werner_channel": ((0.0, 0.75), lambda x: werner_from_channel(x).to_density_matrix()),
+    "depolarizing": ((0.0, 0.75), lambda x: transmit_bell_pair(depolarizing(x))),
+    "amplitude_damping": ((0.0, 1.0), lambda x: transmit_bell_pair(amplitude_damping(x))),
+    "bell": ((-math.inf, math.inf), lambda _: bell_pair()),
 }
+ER_STATES = tuple(ER_FAMILIES)
 
 # Upper bounds that stop a huge count in validation instead of at allocation.
 MAX_RUN_COUNT = 10**7
@@ -37,6 +41,11 @@ DEFAULT_P_PRIME = 0.17
 
 class ConfigError(ValueError):
     """Invalid configuration; the CLI maps this to exit code 2."""
+
+
+def readings(value: str, choices: tuple[str, ...]) -> tuple[str, ...]:
+    """The readings a convention or sides value names: "both" names every other choice."""
+    return tuple(c for c in choices if c != "both") if value == "both" else (value,)
 
 
 @dataclass
@@ -95,7 +104,7 @@ class ExperimentConfig:
             raise ConfigError("master_seed must fit in 64 bits")
         if self.er_state not in ER_STATES:
             raise ConfigError(f"er_state must be one of {ER_STATES}")
-        lo, hi = ER_PARAM_DOMAINS.get(self.er_state, (-math.inf, math.inf))
+        (lo, hi), _ = ER_FAMILIES[self.er_state]
         if not (lo <= self.er_param <= hi):
             raise ConfigError(
                 f"er_param = {self.er_param} outside [{lo:.6g}, {hi:.6g}] for {self.er_state}"
@@ -115,10 +124,6 @@ class ExperimentConfig:
         p_prime = self.p_prime if self.p_prime is not None else DEFAULT_P_PRIME
         if self.experiment == "flow" and p_prime > self.p:
             raise ConfigError(f"flow needs p_prime = {p_prime} <= p = {self.p}")
-
-    def echo(self) -> dict:
-        """Serializable snapshot of every parameter, in declaration order."""
-        return asdict(self)
 
 
 # Scalar type of every key, read off the annotations ("float | None" is float).

@@ -16,7 +16,7 @@ import os
 import tempfile
 import time
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +55,6 @@ from ..protocols import (
 )
 from ..qstate import (
     BellDiagonalState,
-    bell_pair,
     bell_projection,
     binary_entropy,
     purity_and_mixedness,
@@ -63,11 +62,9 @@ from ..qstate import (
     werner_from_channel,
 )
 from .claims import claim
-from .config import DEFAULT_P_PRIME, ConfigError, ExperimentConfig
+from .config import CONVENTIONS, DEFAULT_P_PRIME, ER_FAMILIES, SIDES, ConfigError, ExperimentConfig, readings
 from .report import discrepancy_entry, render_report
 
-GEOMETRIES = {"one": ("one",), "two": ("two",), "both": ("one", "two")}
-BRIDGES = {"paper": ("paper",), "oracle": ("oracle",), "both": ("paper", "oracle")}
 # Runs of the self-check's Monte Carlo comparison, whatever run_count says:
 # its standard-error test needs more than one run.
 SELFCHECK_RUNS = 4000
@@ -76,7 +73,7 @@ SELFCHECK_RUNS = 4000
 @dataclass
 class ExperimentResult:
     experiment: str
-    config_echo: dict
+    config: ExperimentConfig  # serialized by asdict, in declaration order
     rows: list[dict] = field(default_factory=list)
     discrepancies: list[dict] = field(default_factory=list)
     files: list[str] = field(default_factory=list)
@@ -84,16 +81,8 @@ class ExperimentResult:
     wall_clock_seconds: float = 0.0
 
     def to_document(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "library_version": __version__,
-            "config": self.config_echo,
-            "rows": self.rows,
-            "discrepancies": self.discrepancies,
-            "files": self.files,
-            "ok": self.ok,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
+        doc = asdict(self)
+        return {"experiment": doc.pop("experiment"), "library_version": __version__, **doc}
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -219,11 +208,10 @@ def _distillation_row(cfg: ExperimentConfig, state: BellDiagonalState, bridge: s
     )
     mc = dejmps_monte_carlo(exact, indices)
     global_bd = exact.global_state
-    global_mixed_trash = exact.global_with_placeholder_trash()
     selected = exact.selected_state
     er_global = er_pair(global_bd)
     er_selected = er_pair(selected)
-    row = {
+    return {
         "protocol": "post_distillation",
         "convention": bridge,
         "sides": geometry,
@@ -237,7 +225,7 @@ def _distillation_row(cfg: ExperimentConfig, state: BellDiagonalState, bridge: s
         "fidelity_global_mc_se": mc.fidelity_se,
         "er_global_oracle": er_global["er_oracle"],
         "er_global_fidelity_form": er_global["er_fidelity_form"],
-        "er_global_mixed_trash_oracle": er_bell_diagonal(global_mixed_trash).value,
+        "er_global_mixed_trash_oracle": er_bell_diagonal(exact.global_with_placeholder_trash()).value,
         "er_global_mc_mean": mc.er_global_mean,
         "er_global_mc_std": mc.er_global_std,
         "er_selected_oracle": er_selected["er_oracle"],
@@ -247,7 +235,6 @@ def _distillation_row(cfg: ExperimentConfig, state: BellDiagonalState, bridge: s
         / cfg.n_pairs,
         "rate_success_times_global": exact.success_probability * er_global["er_oracle"],
     }
-    return row
 
 
 def _pes_row(cfg: ExperimentConfig, bridge: str, geometry: str, p_prime: float, label: str) -> dict:
@@ -366,74 +353,61 @@ def _static_claim_entries() -> list[dict]:
     return entries
 
 
+def _closest_reading(values: Iterable[tuple], claimed: float) -> tuple:
+    """The (label, value) reading nearest the claimed number; the first one on a tie."""
+    return min(values, key=lambda reading: abs(reading[1] - claimed))
+
+
 def run_table1(cfg: ExperimentConfig) -> ExperimentResult:
-    result = ExperimentResult("table1", cfg.echo())
-    bridges = BRIDGES[cfg.convention]
-    geometries = GEOMETRIES[cfg.sides]
-
-    target_claim = claim("table1_pes")
-    calibs = {
-        (b, g): calibrate_p_prime(target_claim.value, b, g, cfg.p)
-        for b in bridges
-        for g in geometries
-    }
-    for bridge in bridges:
-        for geometry in geometries:
+    result = ExperimentResult("table1", cfg)
+    target = claim("table1_pes").value
+    pinned = cfg.p_prime if cfg.p_prime is not None else DEFAULT_P_PRIME
+    post, pes, calibs = {}, [], {}
+    for bridge in readings(cfg.convention, CONVENTIONS):
+        for geometry in readings(cfg.sides, SIDES):
             state = input_pair_state(bridge, geometry, cfg.p)
-            row = _distillation_row(cfg, state, bridge, geometry)
-            result.rows.append(row)
-
-            calib = calibs[(bridge, geometry)]
+            post[bridge, geometry] = _distillation_row(cfg, state, bridge, geometry)
+            calib = calibs[bridge, geometry] = calibrate_p_prime(target, bridge, geometry, cfg.p)
+            shaped = []
             if calib["p_prime"] is not None:
-                pes_cal = _pes_row(
-                    cfg, bridge, geometry, calib["p_prime"], "pre_channel_shaping_calibrated"
-                )
-                pes_cal["calibrated_to"] = target_claim.value
-                pes_cal["calibration_feasible_from_p"] = calib["feasible"]
-                result.rows.append(pes_cal)
-            pinned = cfg.p_prime if cfg.p_prime is not None else DEFAULT_P_PRIME
-            pes_pinned = _pes_row(cfg, bridge, geometry, pinned, "pre_channel_shaping")
-            result.rows.append(pes_pinned)
+                row = _pes_row(cfg, bridge, geometry, calib["p_prime"], "pre_channel_shaping_calibrated")
+                shaped.append({**row, "calibrated_to": target, "calibration_feasible_from_p": calib["feasible"]})
+            shaped.append(_pes_row(cfg, bridge, geometry, pinned, "pre_channel_shaping"))
+            result.rows += [post[bridge, geometry], *shaped]
+            pes += shaped
 
     result.discrepancies.extend(_static_claim_entries())
-    post_rows = [r for r in result.rows if r["protocol"] == "post_distillation"]
-    pes_rows = [r for r in result.rows if r["protocol"].startswith("pre_channel_shaping")]
-
     best = {}
-    for key, claimed, pick in [
-        ("table1_success", claim("table1_success"), lambda r: r["success_probability_exact"]),
-        ("table1_er_global", claim("table1_er_global"), lambda r: r["er_global_oracle"]),
-        ("table1_er_selected", claim("table1_er_selected"), lambda r: r["er_selected_oracle"]),
+    for key, column in [
+        ("table1_success", "success_probability_exact"),
+        ("table1_er_global", "er_global_oracle"),
+        ("table1_er_selected", "er_selected_oracle"),
     ]:
-        values = {(r["convention"], r["sides"]): pick(r) for r in post_rows}
-        closest = min(values.items(), key=lambda kv: abs(kv[1] - claimed.value))
-        best[key] = closest
+        values = {label: r[column] for label, r in post.items()}
+        (bridge, geometry), best[key] = _closest_reading(values.items(), claim(key).value)
         result.discrepancies.append(
             discrepancy_entry(
-                claimed,
-                closest[1],
-                f"closest documented convention: {closest[0][0]}, sides = {closest[0][1]}; "
+                claim(key),
+                best[key],
+                f"closest documented convention: {bridge}, sides = {geometry}; "
                 f"all readings: { {f'{c}/{s}': round(v, 6) for (c, s), v in values.items()} }",
             )
         )
     rates = {
-        (r["convention"], r["sides"]): (
-            r["rate_selected_per_pair"],
-            r["rate_success_times_global"],
-        )
-        for r in post_rows
+        label: (r["rate_selected_per_pair"], r["rate_success_times_global"])
+        for label, r in post.items()
     }
-    flat = [(k, v) for k, pair in rates.items() for v in pair]
-    closest_rate = min(flat, key=lambda kv: abs(kv[1] - claim("table1_rate").value))
+    flat = ((label, v) for label, pair in rates.items() for v in pair)
+    _, closest_rate = _closest_reading(flat, claim("table1_rate").value)
     result.discrepancies.append(
         discrepancy_entry(
             claim("table1_rate"),
-            closest_rate[1],
+            closest_rate,
             "both computed definitions reported: success x selected E_R / pairs, and "
             f"success x global E_R; per convention: { {f'{c}/{s}': (round(a, 6), round(b, 6)) for (c, s), (a, b) in rates.items()} }",
         )
     )
-    feasible = {k: v for k, v in calibs.items() if v["p_prime"] is not None and v["feasible"]}
+    feasible = [v["achieved_er"] for v in calibs.values() if v["feasible"]]
     summary = {
         f"{b}/{g}": {
             "p_prime": round(v["p_prime"], 6) if v["p_prime"] is not None else None,
@@ -441,11 +415,10 @@ def run_table1(cfg: ExperimentConfig) -> ExperimentResult:
         }
         for (b, g), v in calibs.items()
     }
-    achieved = next((v["achieved_er"] for v in feasible.values()), math.nan)
     result.discrepancies.append(
         discrepancy_entry(
             claim("pes_calibration"),
-            achieved,
+            feasible[0] if feasible else math.nan,
             f"per-pair entanglement reached by the feasible calibration; calibrated "
             f"effective parameters per convention: {summary}; conventions whose "
             f"calibration exceeds p = {cfg.p} cannot be reached by compression",
@@ -453,9 +426,9 @@ def run_table1(cfg: ExperimentConfig) -> ExperimentResult:
         )
     )
 
-    best_pes = max(r["er_per_pair_oracle"] for r in pes_rows)
-    floor_post = min(r["er_global_oracle"] for r in post_rows)
-    matched_post = best["table1_er_global"][1]
+    best_pes = max(r["er_per_pair_oracle"] for r in pes)
+    floor_post = min(r["er_global_oracle"] for r in post.values())
+    matched_post = best["table1_er_global"]
     ratio = best_pes / matched_post if matched_post > 0 else math.inf
     result.discrepancies.append(
         discrepancy_entry(
@@ -477,12 +450,11 @@ def run_table1(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def run_table2(cfg: ExperimentConfig) -> ExperimentResult:
-    result = ExperimentResult("table2", cfg.echo())
-    geometries = GEOMETRIES[cfg.sides]
-
-    for geometry in geometries:
+    result = ExperimentResult("table2", cfg)
+    post = {}
+    for geometry in readings(cfg.sides, SIDES):
         state = bell_projection(transmit_bell_pair(amplitude_damping(cfg.gamma), geometry))
-        row = _distillation_row(cfg, state, "oracle", geometry)
+        row = post[geometry] = _distillation_row(cfg, state, "oracle", geometry)
         row["input_twirled"] = True
         result.rows.append(row)
 
@@ -513,28 +485,27 @@ def run_table2(cfg: ExperimentConfig) -> ExperimentResult:
         }
     )
 
-    post_rows = [r for r in result.rows if r["protocol"] == "post_distillation"]
-    for key, pick in [
-        ("table2_success", lambda r: r["success_probability_exact"]),
-        ("table2_er_global", lambda r: r["er_global_oracle"]),
+    for key, column in [
+        ("table2_success", "success_probability_exact"),
+        ("table2_er_global", "er_global_oracle"),
     ]:
-        values = {r["sides"]: pick(r) for r in post_rows}
-        closest = min(values.items(), key=lambda kv: abs(kv[1] - claim(key).value))
+        values = {geometry: r[column] for geometry, r in post.items()}
+        _, closest = _closest_reading(values.items(), claim(key).value)
         result.discrepancies.append(
             discrepancy_entry(
                 claim(key),
-                closest[1],
+                closest,
                 f"twirled damping input; all geometries: { {k: round(v, 6) for k, v in values.items()} }",
             )
         )
     rates = {
-        r["sides"]: (r["rate_selected_per_pair"], r["rate_success_times_global"])
-        for r in post_rows
+        geometry: (r["rate_selected_per_pair"], r["rate_success_times_global"])
+        for geometry, r in post.items()
     }
-    flat = [(k, v) for k, pair in rates.items() for v in pair]
-    closest_rate = min(flat, key=lambda kv: abs(kv[1] - claim("table2_rate").value))
+    flat = ((geometry, v) for geometry, pair in rates.items() for v in pair)
+    _, closest_rate = _closest_reading(flat, claim("table2_rate").value)
     result.discrepancies.append(
-        discrepancy_entry(claim("table2_rate"), closest_rate[1], f"computed definitions: {rates}")
+        discrepancy_entry(claim("table2_rate"), closest_rate, f"computed definitions: {rates}")
     )
     result.discrepancies.append(
         discrepancy_entry(
@@ -563,7 +534,7 @@ def run_table2(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def run_flow(cfg: ExperimentConfig) -> ExperimentResult:
-    result = ExperimentResult("flow", cfg.echo())
+    result = ExperimentResult("flow", cfg)
     p_prime = cfg.p_prime if cfg.p_prime is not None else DEFAULT_P_PRIME
     post_traj, pes_traj = trajectory(cfg.p, p_prime, 1.0, cfg.t_total, cfg.t_step)
 
@@ -593,35 +564,23 @@ def run_flow(cfg: ExperimentConfig) -> ExperimentResult:
         result.ok = False
 
     out_dir = Path(cfg.out_dir)
-    files = emit_flow_data({"post": post_traj, "pes": pes_traj}, points, out_dir)
-    result.files.extend(str(f) for f in files)
+    for name, traj in (("post", post_traj), ("pes", pes_traj)):
+        path = out_dir / f"{name}_trajectory.csv"
+        write_csv(path, ("t", "fidelity", "er_bits", "mixedness"), traj.samples)
+        result.files.append(str(path))
+    path = out_dir / "flow_points.csv"
+    write_csv(path, tuple(points[0]), (pt.values() for pt in points))
+    result.files.append(str(path))
     return result
 
 
-def emit_flow_data(trajectories: dict, points: list[dict], out_dir: Path) -> list[Path]:
-    """One CSV per trajectory plus a landmark-points CSV."""
-    if not trajectories:
-        raise ValueError("no trajectories to emit")
-    written = []
-    for name, traj in trajectories.items():
-        path = out_dir / f"{name}_trajectory.csv"
-        write_csv(path, ("t", "fidelity", "er_bits", "mixedness"), traj.samples)
-        written.append(path)
-    path = out_dir / "flow_points.csv"
-    write_csv(path, tuple(points[0]), (pt.values() for pt in points))
-    written.append(path)
-    return written
-
-
 def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    result = ExperimentResult("sweep", cfg.echo())
-    bridges = BRIDGES[cfg.convention]
-    geometries = GEOMETRIES[cfg.sides]
+    result = ExperimentResult("sweep", cfg)
     ratio = 0.85 if cfg.p_prime is None else None
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
     for p in grid:
-        for bridge in bridges:
-            for geometry in geometries:
+        for bridge in readings(cfg.convention, CONVENTIONS):
+            for geometry in readings(cfg.sides, SIDES):
                 p_prime = cfg.p_prime if cfg.p_prime is not None else ratio * p
                 state = input_pair_state(bridge, geometry, float(p))
                 pes_state = input_pair_state(bridge, geometry, float(p_prime))
@@ -643,20 +602,11 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def run_er_single(cfg: ExperimentConfig) -> ExperimentResult:
-    result = ExperimentResult("er", cfg.echo())
+    result = ExperimentResult("er", cfg)
     # An unconverged numeric value is still a valid upper bound; it is
     # surfaced through the converged flag rather than failing the run.
-    if cfg.er_state == "werner":
-        rho = werner(cfg.er_param).to_density_matrix()
-    elif cfg.er_state == "werner_channel":
-        rho = werner_from_channel(cfg.er_param).to_density_matrix()
-    elif cfg.er_state == "depolarizing":
-        rho = transmit_bell_pair(depolarizing(cfg.er_param))
-    elif cfg.er_state == "amplitude_damping":
-        rho = transmit_bell_pair(amplitude_damping(cfg.er_param))
-    else:
-        rho = bell_pair()
-
+    _, make_state = ER_FAMILIES[cfg.er_state]
+    rho = make_state(cfg.er_param)
     numeric = er_numeric(rho)
     row = {
         "state": cfg.er_state,
@@ -680,7 +630,7 @@ def run_er_single(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_selfcheck(cfg: ExperimentConfig) -> ExperimentResult:
     """Oracle batteries; any failure flips ``ok`` and the CLI exits nonzero."""
-    result = ExperimentResult("selfcheck", cfg.echo())
+    result = ExperimentResult("selfcheck", cfg)
     checks: list[tuple[str, bool, str]] = []
 
     # The closed form must lie in every certified interval [lower, value].

@@ -303,6 +303,41 @@ class TestGeneralPathParts:
         g = sum(w * np.kron(pauli[k[0]], pauli[k[1]]) for k, w in terms.items()).astype(complex)
         assert entanglement._product_max(g) == pytest.approx(expected, abs=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c=st.floats(-1.0, 1.0),
+        size=st.floats(0.1, 1.0),
+        coupling=st.just(0.0) | st.floats(0.1, 1.0),
+    )
+    def test_product_max_where_alpha_plus_t_n_vanishes_on_a_circle(self, seed, c, size, coupling):
+        # G = c + I (x) beta.sigma + coupling (a.sigma) (x) (v.sigma) under random
+        # local unitaries: alpha = 0 and T = coupling a v^T, so alpha + T n = 0 on
+        # the great circle v.n = 0, and on the whole sphere when coupling = 0.
+        # There q(n) >= 0 no longer implies w - beta.n >= 0, which only the
+        # w >= |beta| test enforces. Reference: the top eigenvalue of
+        # (I (x) <b|) G (I (x) |b>), maximized over a Fibonacci grid of 20000 b.
+        rng = np.random.default_rng(seed)
+        pauli = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+
+        def bloch(vec):
+            return sum(x * p for x, p in zip(vec, pauli))
+
+        beta = rng.normal(size=3)
+        g = c * np.eye(4) + np.kron(np.eye(2), bloch(size * beta / np.linalg.norm(beta)))
+        g = g + coupling * np.kron(bloch(rng.normal(size=3)), bloch(rng.normal(size=3)))
+        u = random_product_unitary(rng)
+        g = u @ g @ u.conj().T
+        k = np.arange(20000) + 0.5
+        theta, phi = np.arccos(1 - k / 10000), math.pi * (1 + math.sqrt(5)) * k
+        kets = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=1)
+        reduced = np.einsum("nb,abcd,nd->nac", kets.conj(), g.reshape(2, 2, 2, 2), kets)
+        grid_max = np.linalg.eigvalsh(reduced)[:, -1].max()
+        top = entanglement._product_max(g)
+        # Certified: never below an attained value; the grid's spacing of about
+        # 0.025 puts its smooth maximum within 5e-3 of the true one.
+        assert grid_max - 1e-12 <= top <= grid_max + 5e-3
+
     @pytest.mark.parametrize("a", [0.6, 0.9, 0.93])
     @pytest.mark.parametrize("b", [1e-9, 1e-10])
     def test_flat_triangle_decomposes_exactly(self, a, b):

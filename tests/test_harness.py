@@ -322,6 +322,15 @@ class TestExperiments:
         for entry in result.discrepancies:
             assert entry["status"] in ("reproduced", "discrepant")
 
+    @pytest.mark.parametrize("experiment", ["table1", "table2"])
+    def test_claim_statuses_are_pinned(self, tmp_path, experiment):
+        # Every claim's status, in report order, at the default config plus the
+        # convention and sides stored next to the statuses.
+        pinned = json.loads((Path(__file__).parent / "claim_statuses.json").read_text())[experiment]
+        cfg = build_config(experiment, {**pinned["config"], "out_dir": str(tmp_path)})
+        statuses = [(e["claim"], e["status"]) for e in run(cfg).discrepancies]
+        assert statuses == list(pinned["statuses"].items())
+
     def test_flow_round_trip(self, tmp_path):
         cfg = build_config(
             "flow",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entshape.channels import amplitude_damping, apply
+from entshape.channels import amplitude_damping, apply, transmit_bell_pair
 from entshape.entanglement import er_bell_diagonal, er_numeric
 from entshape.protocols import (
     DistillationOutcome,
@@ -22,6 +22,7 @@ from entshape.qstate import (
     DensityMatrix,
     X,
     bell_pair,
+    bell_projection,
     werner,
     werner_from_channel,
 )
@@ -57,15 +58,18 @@ def recurrence_operators():
 def simulate_recurrence(q, r):
     """Reference for one recurrence step: 16x16 density-matrix simulation.
 
+    Each pair is given by its Bell weights or as a 4x4 density matrix.
     Rotates, applies the bilateral CNOT, projects pair 2 on each Z outcome
     and traces it out. Returns (p_success, success weights, p_failure,
     failure weights or None when p_failure <= 1e-15); the kept-pair states
     must be Bell-diagonal to 1e-10.
     """
-    rho = np.kron(
-        BellDiagonalState(q).to_density_matrix().matrix,
-        BellDiagonalState(r).to_density_matrix().matrix,
-    )
+
+    def matrix(pair):
+        pair = np.asarray(pair)
+        return pair if pair.ndim == 2 else BellDiagonalState(pair).to_density_matrix().matrix
+
+    rho = np.kron(matrix(q), matrix(r))
     u, projectors = recurrence_operators()
     rho = u @ rho @ u.conj().T
     kept = []
@@ -215,6 +219,25 @@ class TestRecursive:
         # Claim-side bridge, both qubits transiting: 207661/625000.
         out2 = dejmps_recursive(4, werner((1 - 0.2) ** 2), 2)
         assert out2.success_probability == pytest.approx(207661 / 625000, abs=1e-12)
+
+    @pytest.mark.parametrize("sides", ["one", "two"])
+    def test_twirl_of_damped_input_is_exact(self, sides):
+        # table2 projects the damped pair onto its Bell diagonal before
+        # distilling. Run on the untwirled pair, the reference keeps a
+        # Bell-diagonal pair after one step (it raises otherwise), and the
+        # two-round tree over four pairs matches the twirled record.
+        rho = transmit_bell_pair(amplitude_damping(0.3), sides)
+        with pytest.raises(ValueError):
+            BellDiagonalState.from_density_matrix(rho)
+        record = dejmps_recursive(4, bell_projection(rho), 2)
+        n1, s1, _, f1 = simulate_recurrence(rho.matrix, rho.matrix)
+        n2, s2, _, f2 = simulate_recurrence(s1, s1)
+        assert n1 * n1 * n2 == pytest.approx(record.success_probability, abs=1e-10)
+        mixture = (1 - n1 * n1) * f1 + n1 * n1 * (1 - n2) * f2 + n1 * n1 * n2 * s2
+        for weights, state in ((s2, record.selected_state), (mixture, record.global_state)):
+            assert np.abs(weights - np.array(state.coefficients)).max() < 1e-10
+            er = er_bell_diagonal(BellDiagonalState(weights)).value
+            assert er == pytest.approx(er_bell_diagonal(state).value, abs=1e-10)
 
     def test_global_state_is_branch_mixture(self):
         out = dejmps_recursive(4, werner_from_channel(0.2), 2)
