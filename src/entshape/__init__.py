@@ -6,7 +6,7 @@ Subpackage map:
 * :mod:`entshape.channels` - Kraus channels and decoupling transforms
 * :mod:`entshape.entanglement` - relative entropy of entanglement
 * :mod:`entshape.protocols` - distillation and shaping pipelines
-* :mod:`entshape.dynamics` - decay trajectories and rate suppression
+* :mod:`entshape.dynamics` - claim-side fidelity decay, its rate and trajectories
 * :mod:`entshape.harness` - experiments, claims reproduction, CLI
 """
 

@@ -222,16 +222,8 @@ def dejmps_monte_carlo(exact: DistillationOutcome, indices: np.ndarray) -> Monte
     )
 
 
-@dataclass(frozen=True)
-class HashingRate:
-    """Raw yield 1 - H2(p) - p log2(3); negative values are flagged, not clamped."""
-
-    value: float
-    is_negative: bool
-
-
-def hashing_rate(p: float) -> HashingRate:
+def hashing_rate(p: float) -> float:
+    """Raw yield 1 - H2(p) - p log2(3), returned unclamped: it is negative past p ~ 0.19."""
     if p < 0 or p > 0.75:
         raise ValueError(f"noise parameter {p} outside [0, 3/4]")
-    value = 1.0 - binary_entropy(p) - p * math.log2(3)
-    return HashingRate(value, value < 0)
+    return 1.0 - binary_entropy(p) - p * math.log2(3)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from entshape.dynamics import (
-    damping_suppression,
     delta_er,
     er_production_rate,
     fidelity_decay,
     trajectory,
 )
 from entshape.entanglement import CERTIFIED_GAP, er_bell_fidelity
+from entshape.harness.config import build_config
+from entshape.harness.experiments import run
 
 
 def rk4_decay(f0, p, t_final, steps=4000):
@@ -141,56 +142,68 @@ class TestDeltaEr:
 class TestTrajectory:
     def test_common_start(self):
         post, pes = trajectory(0.2, 0.17, 1.0, 1.0, 0.05)
-        assert post.samples[0] == (0.0, 1.0, 1.0, 0.0)
-        assert pes.samples[0] == (0.0, 1.0, 1.0, 0.0)
+        assert post[0] == (0.0, 1.0, 1.0, 0.0)
+        assert pes[0] == (0.0, 1.0, 1.0, 0.0)
+        f0 = 0.9
+        post, pes = trajectory(0.2, 0.17, f0, 1.0, 0.05)
+        assert post[0] == pes[0] == (0.0, f0, er_bell_fidelity(f0), 1 - f0 * f0)
+
+    @pytest.mark.parametrize("horizon, step", [(1.0, 0.02), (1.0, 0.3), (2.5, 0.5), (0.3, 0.1)])
+    def test_shared_increasing_time_grid(self, horizon, step):
+        post, pes = trajectory(0.2, 0.1, 1.0, horizon, step)
+        count = math.floor(horizon / step + 1e-9) + 1
+        times = [row[0] for row in post]
+        assert times == [row[0] for row in pes] == [i * step for i in range(count)]
+        assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_pointwise_dominance(self):
         post, pes = trajectory(0.2, 0.17, 1.0, 2.0, 0.05)
-        for a, b in zip(post.samples, pes.samples):
+        for a, b in zip(post, pes):
             assert b[1] >= a[1]  # fidelity
             assert b[2] >= a[2]  # entanglement
 
     def test_endpoint_geometry(self):
         post, pes = trajectory(0.3, 0.1, 1.0, 1.5, 0.05)
-        assert pes.samples[-1][2] > post.samples[-1][2]
-        assert pes.samples[-1][3] < post.samples[-1][3]
+        assert pes[-1][2] > post[-1][2]
+        assert pes[-1][3] < post[-1][3]
 
     def test_entanglement_matches_closed_form_samples(self):
         post, _ = trajectory(0.2, 0.1, 1.0, 1.0, 0.1)
-        for t, f, er, mixed in post.samples:
+        for t, f, er, mixed in post:
             assert er == pytest.approx(er_bell_fidelity(f), abs=1e-12)
             assert mixed == pytest.approx(1 - f * f, abs=1e-12)
 
     def test_monotone_fidelity(self):
         post, _ = trajectory(0.2, 0.1, 1.0, 1.0, 0.1)
-        fids = [s[1] for s in post.samples]
+        fids = [s[1] for s in post]
         assert all(b < a for a, b in zip(fids, fids[1:]))
 
     def test_clamped_beyond_separability(self):
         post, _ = trajectory(0.5, 0.0, 1.0, 4.0, 0.5)
-        assert post.samples[-1][1] < 0.5
-        assert post.samples[-1][2] == 0.0
+        assert post[-1][1] < 0.5
+        assert post[-1][2] == 0.0
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             trajectory(0.2, 0.1, 1.0, 1.0, 0.0)
 
 
+def damping_suppression_row(out_dir):
+    """`table2`'s row for the damping gap between one-shot damping 0.5 and 0.85 x 0.5."""
+    options = {"convention": "oracle", "sides": "one", "out_dir": str(out_dir), "run_count": 1000}
+    cfg = build_config("table2", options)
+    return next(r for r in run(cfg).rows if r["protocol"] == "damping_suppression")
+
+
 class TestDampingSuppression:
-    def test_positive_gap_and_convergence(self):
-        res = damping_suppression(0.5, 0.85)
-        assert res.value > 0
-        assert res.er_compressed_endpoint > res.er_raw_endpoint
-        assert res.converged
+    def test_positive_gap_and_convergence(self, tmp_path):
+        row = damping_suppression_row(tmp_path)
+        assert row["delta_er"] > 0
+        assert row["er_compressed_endpoint"] > row["er_raw_endpoint"]
+        assert row["converged"]
 
-    def test_interval_contains_gap(self):
-        res = damping_suppression(0.5, 0.85)
-        lo, hi = res.interval
-        assert lo <= res.value <= hi
+    def test_interval_contains_gap(self, tmp_path):
+        row = damping_suppression_row(tmp_path)
+        lo, hi = row["delta_er_interval"]
+        assert lo <= row["delta_er"] <= hi
         assert hi - lo <= 2 * CERTIFIED_GAP
-
-    def test_rejects_bad_compression(self):
-        with pytest.raises(ValueError):
-            damping_suppression(0.5, 0.0)
-        with pytest.raises(ValueError):
-            damping_suppression(0.5, 1.2)

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entshape import entanglement
-from entshape.channels import amplitude_damping, apply
+from entshape.channels import amplitude_damping, apply, depolarizing
 from entshape.entanglement import (
     CERTIFIED_GAP,
     SeparableAnsatz,
@@ -452,6 +452,38 @@ class TestMonotonicityAndConvexity:
             a = er_numeric(rho)
             b = er_numeric(rotated)
             assert a.lower <= b.value + CERTIFIED_GAP and b.lower <= a.value + CERTIFIED_GAP
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4), fraction=st.floats(0.1, 0.95))
+    def test_local_unitary_invariance_holds_exact_value(self, seed, rank, fraction):
+        # E_R(rho) = D(rho || sigma) exactly on an oracle pair, and a product
+        # unitary U (x) V leaves it unchanged.
+        rng = np.random.default_rng(seed)
+        pair = inverse_ree_pair(rng, rank, fraction)
+        assume(pair is not None)
+        rho, sigma = pair
+        u = random_product_unitary(rng)
+        res = er_numeric(DensityMatrix(u @ rho.matrix @ u.conj().T, (2, 2)))
+        exact = relative_entropy(rho, sigma)
+        assert res.lower - CERTIFIED_GAP <= exact <= res.value + CERTIFIED_GAP
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.integers(1, 4),
+        fraction=st.floats(0.1, 0.95),
+        channel=st.sampled_from([amplitude_damping, depolarizing]),
+        strength=st.floats(0.0, 0.75),
+        target=st.sampled_from([0, 1]),
+    )
+    def test_one_sided_channel_does_not_increase_exact_value(self, seed, rank, fraction, channel, strength, target):
+        # A channel on one qubit is a local operation, so E_R cannot rise above
+        # the oracle pair's exact D(rho || sigma).
+        pair = inverse_ree_pair(np.random.default_rng(seed), rank, fraction)
+        assume(pair is not None)
+        rho, sigma = pair
+        after = er_numeric(apply(channel(strength), rho, target=target))
+        assert after.lower <= relative_entropy(rho, sigma) + CERTIFIED_GAP
 
     def test_local_dephasing_does_not_increase(self):
         rng = np.random.default_rng(43)

@@ -371,19 +371,15 @@ class TestRotationSearch:
 
 class TestHashingRate:
     def test_zero_noise(self):
-        res = hashing_rate(0.0)
-        assert res.value == pytest.approx(1.0, abs=1e-12)
-        assert not res.is_negative
+        assert hashing_rate(0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_low_noise(self):
-        res = hashing_rate(0.1)
-        assert res.value == pytest.approx(0.373, abs=1e-3)
-        assert not res.is_negative
+        assert hashing_rate(0.1) == pytest.approx(0.373, abs=1e-3)
 
     def test_claimed_operating_point_is_negative(self):
-        res = hashing_rate(0.2)
-        assert res.value == pytest.approx(-0.039, abs=1e-3)
-        assert res.is_negative
+        rate = hashing_rate(0.2)
+        assert rate == pytest.approx(-0.039, abs=1e-3)
+        assert rate < 0
 
     def test_range(self):
         with pytest.raises(ValueError):
