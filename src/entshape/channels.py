@@ -31,6 +31,7 @@ from .qstate import (
     X,
     Y,
     Z,
+    _frozen_copy,
     as_operator,
     bell_pair,
     partial_transpose,
@@ -56,12 +57,7 @@ class QuantumChannel:
         total = sum(k.conj().T @ k for k in ops)
         if np.abs(total - np.eye(d)).max() > COMPLETENESS_TOL:
             raise ValueError("Kraus completeness sum differs from identity")
-        frozen = []
-        for k in ops:
-            c = k.copy()
-            c.setflags(write=False)
-            frozen.append(c)
-        object.__setattr__(self, "kraus_ops", tuple(frozen))
+        object.__setattr__(self, "kraus_ops", tuple(_frozen_copy(k) for k in ops))
 
     @property
     def dim(self) -> int:
@@ -126,33 +122,20 @@ def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
 
 
 def transmit_bell_pair(channel: QuantumChannel, sides: str = "one") -> DensityMatrix:
-    """Phi+ after the channel acts on qubit B, and then on qubit A when ``sides`` is "two"."""
+    """Phi+ after the channel acts on qubit B, and then on qubit A when ``sides`` is "two".
+
+    The one-sided output (I (x) N)(|Phi+><Phi+|) is the channel's Choi state.
+    """
     if sides not in ("one", "two"):
         raise ValueError(f"sides must be 'one' or 'two', got {sides!r}")
     pair = apply(channel, bell_pair(), target=1)
     return apply(channel, pair, target=0) if sides == "two" else pair
 
 
-def choi(channel: QuantumChannel) -> DensityMatrix:
-    """Choi state (I (x) N)(|Phi+><Phi+|), normalized as a two-qubit state."""
-    if channel.dim != 2:
-        raise ValueError("Choi state construction is implemented for qubit channels")
-    return transmit_bell_pair(channel)
-
-
-@dataclass(frozen=True)
-class EBResult:
-    """Entanglement-breaking verdict with the minimal PT eigenvalue as witness."""
-
-    is_breaking: bool
-    min_pt_eigenvalue: float
-
-
-def is_entanglement_breaking(channel: QuantumChannel) -> EBResult:
-    """PPT test on the Choi state; exact for qubit channels."""
-    c = choi(channel)
-    min_eig = float(np.linalg.eigvalsh(partial_transpose(c)).min())
-    return EBResult(min_eig >= -1e-10, min_eig)
+def is_entanglement_breaking(channel: QuantumChannel) -> bool:
+    """PPT test on the Choi state (minimum PT eigenvalue >= -1e-10); exact for qubit channels."""
+    c = transmit_bell_pair(channel)
+    return float(np.linalg.eigvalsh(partial_transpose(c.matrix)).min()) >= -1e-10
 
 
 def dd_compression(noise_spectral_density: float, pulse_frequency: float) -> float:
@@ -204,11 +187,11 @@ def eb_threshold_depolarizing(tol: float = 1e-10) -> float:
     Located by bisection on the minimal PT eigenvalue of the Choi state.
     """
     lo, hi = 0.0, 0.75
-    if is_entanglement_breaking(depolarizing(lo)).is_breaking:
+    if is_entanglement_breaking(depolarizing(lo)):
         return lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if is_entanglement_breaking(depolarizing(mid)).is_breaking:
+        if is_entanglement_breaking(depolarizing(mid)):
             hi = mid
         else:
             lo = mid

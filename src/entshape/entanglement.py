@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import (
+    PAULIS,
     BellDiagonalState,
     DensityMatrix,
     binary_entropy,
@@ -179,7 +180,9 @@ def er_bell_fidelity(fidelity: float, clamp: bool = True) -> float:
 
 def negativity(rho: DensityMatrix) -> float:
     """Sum of |negative eigenvalues| of the partial transpose."""
-    vals = np.linalg.eigvalsh(partial_transpose(rho))
+    if rho.dims != (2, 2):
+        raise ValueError(f"negativity expects a qubit pair, got dims {rho.dims}")
+    vals = np.linalg.eigvalsh(partial_transpose(rho.matrix))
     return float(max(0.0, -vals[vals < 0].sum()))
 
 
@@ -220,16 +223,10 @@ def er_numeric(rho: DensityMatrix) -> ERResult:
 CERTIFIED_GAP = 1e-9  # value - lower, in bits, below which a numeric result reports converged
 _PPT_MAX_STEPS = 500  # Newton steps over all barrier stages
 _BARRIER_GAP = 1e-10  # the last stage has 8 / t below this, in nats
-_PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]]),
-    np.diag([1, -1]).astype(complex),
-)
-_BASIS = np.array([np.kron(p, q) for p in _PAULI for q in _PAULI])
+_BASIS = np.array([np.kron(p, q) for p in PAULIS for q in PAULIS])
 _PT_SIGN = np.array([-1.0 if k % 4 == 2 else 1.0 for k in range(16)])  # B_k^{T_B} = +-B_k
 _TRIPLES = np.sort(np.indices((4, 4, 4)).reshape(3, -1).T, axis=1).T  # each (i, m, j), sorted
-_SPIN_FLIP = np.kron(_PAULI[2], _PAULI[2]).real
+_SPIN_FLIP = np.kron(PAULIS[2], PAULIS[2]).real
 _HADAMARD = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2
 
 

@@ -25,7 +25,6 @@ from .. import __version__
 from ..channels import (
     amplitude_damping,
     apply,  # not called here; perfbench/tracer.py's self-test reads experiments.apply
-    choi,
     dd_compression,
     dd_effective_pulse_average,
     depolarizing,
@@ -235,28 +234,21 @@ def _distillation_row(cfg: ExperimentConfig, state: BellDiagonalState, bridge: s
 def _pes_row(cfg: ExperimentConfig, bridge: str, geometry: str, p_prime: float, label: str) -> dict:
     """Shaping-pipeline row at one effective noise parameter.
 
-    The shaped pair is the input pair at the realized parameter. Under the
-    first-principles bridge that parameter is the decoupling compression of
-    the raw one, p * exp(-gamma_sd / f_dd) with gamma_sd / f_dd = ln(p/p')
-    (the only combination the compression reads, so f_dd is fixed at 1).
-    When p' exceeds the raw parameter the compression cannot reach it, so
-    the row uses p' itself and says so. The claim-side bridge has no channel
-    realization (it is a parameter identification), so it always uses p'.
+    The shaped pair is the input pair at p'. When 0 < p' <= p, the decoupling
+    compression p * exp(-gamma_sd / f_dd) reaches p' at gamma_sd / f_dd =
+    ln(p/p'), the ratio the row reports; otherwise the row says that no
+    compression reaches p'. Both bridges report these fields, though the
+    claim-side one is a parameter identification with no channel behind it.
     """
     dd_reachable = 0 < p_prime <= cfg.p
     dd_ratio = math.log(cfg.p / p_prime) if dd_reachable else None
-    if bridge == "oracle" and dd_reachable:
-        realized = cfg.p * dd_compression(dd_ratio, 1.0)
-    else:
-        realized = p_prime
-    state = input_pair_state(bridge, geometry, realized)
+    state = input_pair_state(bridge, geometry, p_prime)
     ers = er_pair(state)
     return {
         "protocol": label,
         "convention": bridge,
         "sides": geometry,
         "p_prime": p_prime,
-        "p_prime_realized": realized,
         "dd_reachable_from_p": dd_reachable,
         "dd_noise_density_over_frequency": dd_ratio,
         "per_pair_fidelity": state.fidelity,
@@ -677,7 +669,7 @@ def run_selfcheck(cfg: ExperimentConfig) -> ExperimentResult:
     checks.append(("channel_trace_psd", ok_channel, "25 random depolarizing applications"))
 
     twirled = pauli_twirl(amplitude_damping(0.3))
-    c = choi(twirled)
+    c = transmit_bell_pair(twirled)
     off = c.matrix - bell_projection(c).to_density_matrix().matrix
     checks.append(
         ("twirled_choi_bell_diagonal", float(np.abs(off).max()) < 1e-10, "damping 0.3")

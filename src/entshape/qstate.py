@@ -123,11 +123,17 @@ def bell_pair(index: int = 0) -> DensityMatrix:
     return DensityMatrix.from_state_vector(BELL_VECTORS[index], (2, 2))
 
 
-def bell_fidelity(rho: DensityMatrix | np.ndarray) -> float:
-    """Overlap with the target Bell state |Phi+>."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    v = BELL_VECTORS[0]
-    return float((v.conj() @ m @ v).real)
+def _bell_weights(m: np.ndarray) -> list[float]:
+    """<B_k|m|B_k> over the fixed Bell basis."""
+    return [float((v.conj() @ m @ v).real) for v in BELL_VECTORS]
+
+
+def _bell_mixture(weights: Iterable[float]) -> np.ndarray:
+    """sum_k c_k |B_k><B_k| over the fixed Bell basis, summed in basis order."""
+    m = np.zeros((4, 4), dtype=complex)
+    for c, v in zip(weights, BELL_VECTORS):
+        m += c * np.outer(v, v.conj())
+    return m
 
 
 @dataclass(frozen=True)
@@ -161,10 +167,7 @@ class BellDiagonalState:
         return max(self.coefficients)
 
     def to_density_matrix(self) -> DensityMatrix:
-        m = np.zeros((4, 4), dtype=complex)
-        for c, v in zip(self.coefficients, BELL_VECTORS):
-            m += c * np.outer(v, v.conj())
-        return DensityMatrix(m, (2, 2))
+        return DensityMatrix(_bell_mixture(self.coefficients), (2, 2))
 
     @classmethod
     def from_density_matrix(cls, rho: DensityMatrix, tol: float = 1e-10) -> "BellDiagonalState":
@@ -172,9 +175,8 @@ class BellDiagonalState:
 
         Use :func:`bell_projection` to deliberately discard coherences.
         """
-        weights = [float((v.conj() @ rho.matrix @ v).real) for v in BELL_VECTORS]
-        rebuilt = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, BELL_VECTORS))
-        if np.abs(rebuilt - rho.matrix).max() > tol:
+        weights = _bell_weights(rho.matrix)
+        if np.abs(_bell_mixture(weights) - rho.matrix).max() > tol:
             raise ValueError("state is not Bell-diagonal within tolerance")
         total = sum(weights)
         return cls(tuple(w / total for w in weights))
@@ -182,8 +184,7 @@ class BellDiagonalState:
 
 def bell_projection(rho: DensityMatrix) -> BellDiagonalState:
     """Bell-diagonal part of a two-qubit state (Bell-basis dephasing/twirl)."""
-    weights = np.array([float((v.conj() @ rho.matrix @ v).real) for v in BELL_VECTORS])
-    weights = np.clip(weights, 0.0, None)
+    weights = np.clip(_bell_weights(rho.matrix), 0.0, None)
     return BellDiagonalState(tuple(weights / weights.sum()))
 
 
@@ -229,24 +230,16 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(reshaped.reshape(d, d), tuple(dims))
 
 
-def partial_transpose(rho: DensityMatrix | np.ndarray, subsystem: int = 1) -> np.ndarray:
-    """Transpose on one side of a two-qubit state; Hermitian, possibly non-PSD."""
-    if isinstance(rho, DensityMatrix):
-        if rho.dims != (2, 2):
-            raise ValueError(f"partial transpose requires a qubit pair, got dims {rho.dims}")
-        m = rho.matrix
-    else:
-        m = as_operator(rho)
-        if m.shape != (4, 4):
-            raise ValueError(f"partial transpose requires a 4x4 matrix, got {m.shape}")
-    if subsystem not in (0, 1):
-        raise ValueError("subsystem must be 0 or 1")
-    r = m.reshape(2, 2, 2, 2)
-    if subsystem == 0:
-        r = r.transpose(2, 1, 0, 3)
-    else:
-        r = r.transpose(0, 3, 2, 1)
-    return r.reshape(4, 4)
+def partial_transpose(m: np.ndarray) -> np.ndarray:
+    """Transpose qubit B of a 4x4 two-qubit matrix; Hermitian, possibly non-PSD.
+
+    Transposing qubit A instead gives the full transpose of this result,
+    which has the same spectrum, so one side serves every PPT test.
+    """
+    m = as_operator(m)
+    if m.shape != (4, 4):
+        raise ValueError(f"partial transpose requires a 4x4 matrix, got {m.shape}")
+    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
 def _clamped_spectrum(m: np.ndarray) -> np.ndarray:

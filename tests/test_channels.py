@@ -9,7 +9,6 @@ from entshape.channels import (
     QuantumChannel,
     amplitude_damping,
     apply,
-    choi,
     compose,
     dd_compression,
     dd_effective_pulse_average,
@@ -99,9 +98,7 @@ class TestApply:
         g = 0.3
         out = apply(amplitude_damping(g), bell_pair(), target=1)
         expected = (1 + math.sqrt(1 - g)) ** 2 / 4
-        from entshape.qstate import bell_fidelity
-
-        assert bell_fidelity(out) == pytest.approx(expected, abs=1e-12)
+        assert bell_projection(out).fidelity == pytest.approx(expected, abs=1e-12)
 
     def test_trace_and_psd_preserved(self):
         rng = np.random.default_rng(14)
@@ -139,39 +136,44 @@ class TestApply:
 
 class TestChoiAndEB:
     def test_choi_identity_is_bell(self):
-        c = choi(identity_channel())
+        c = transmit_bell_pair(identity_channel())
         assert np.abs(c.matrix - bell_pair().matrix).max() < 1e-12
 
     def test_choi_full_depolarizing_flat_spectrum(self):
-        vals = np.linalg.eigvalsh(choi(depolarizing(0.75)).matrix)
+        vals = np.linalg.eigvalsh(transmit_bell_pair(depolarizing(0.75)).matrix)
         assert np.abs(vals - 0.25).max() < 1e-10
 
     def test_choi_damping_valid_state(self):
-        c = choi(amplitude_damping(0.3))
+        c = transmit_bell_pair(amplitude_damping(0.3))
         assert abs(np.trace(c.matrix).real - 1) < 1e-10
         assert np.linalg.eigvalsh(c.matrix).min() > -1e-10
 
     def test_choi_depolarizing_bell_diagonal(self):
         for p in np.linspace(0, 0.75, 7):
-            c = choi(depolarizing(p))
+            c = transmit_bell_pair(depolarizing(p))
             rebuilt = bell_projection(c).to_density_matrix()
             assert np.abs(rebuilt.matrix - c.matrix).max() < 1e-10
 
     def test_identity_not_breaking(self):
-        verdict = is_entanglement_breaking(identity_channel())
-        assert not verdict.is_breaking
-        assert verdict.min_pt_eigenvalue == pytest.approx(-0.5, abs=1e-10)
+        assert not is_entanglement_breaking(identity_channel())
 
     def test_weak_depolarizing_not_breaking(self):
-        assert not is_entanglement_breaking(depolarizing(0.1)).is_breaking
+        assert not is_entanglement_breaking(depolarizing(0.1))
+
+    def test_non_qubit_channel_rejected(self):
+        # apply rejects a channel whose dimension does not match qubit B.
+        with pytest.raises(ValueError):
+            transmit_bell_pair(identity_channel(3))
+        with pytest.raises(ValueError):
+            is_entanglement_breaking(identity_channel(3))
 
     def test_breaking_threshold_is_half(self):
         # The claimed non-breaking domain extends to 3/4; the PT criterion
         # on the Choi state puts the threshold at 1/2.
         threshold = eb_threshold_depolarizing()
         assert threshold == pytest.approx(0.5, abs=1e-8)
-        assert is_entanglement_breaking(depolarizing(0.55)).is_breaking
-        assert not is_entanglement_breaking(depolarizing(0.45)).is_breaking
+        assert is_entanglement_breaking(depolarizing(0.55))
+        assert not is_entanglement_breaking(depolarizing(0.45))
 
 
 class TestCompose:
@@ -196,15 +198,15 @@ class TestCompose:
         # AD(a) o AD(b) = AD(1 - (1-a)(1-b)) on the damped Bell pair, so m
         # equal slices of a time-sliced path end at one-shot damping.
         for a, b in [(0.1, 0.2), (0.3, 0.4), (0.5, 0.5), (0.9, 0.05)]:
-            composed = choi(compose(amplitude_damping(a), amplitude_damping(b)))
-            direct = choi(amplitude_damping(1 - (1 - a) * (1 - b)))
+            composed = transmit_bell_pair(compose(amplitude_damping(a), amplitude_damping(b)))
+            direct = transmit_bell_pair(amplitude_damping(1 - (1 - a) * (1 - b)))
             assert np.abs(composed.matrix - direct.matrix).max() < 1e-12
         gamma, slices = 0.5, 64
         step = amplitude_damping(1 - (1 - gamma) ** (1 / slices))
         sliced = bell_pair()
         for _ in range(slices):
             sliced = apply(step, sliced, target=1)
-        assert np.abs(sliced.matrix - choi(amplitude_damping(gamma)).matrix).max() < 1e-12
+        assert np.abs(sliced.matrix - transmit_bell_pair(amplitude_damping(gamma)).matrix).max() < 1e-12
 
 
 class TestDDConfig:
@@ -267,7 +269,7 @@ def test_every_constructor_is_cptp(base):
     # A valid Choi state is complete positivity; its input marginal I/2 is
     # trace preservation. Both transforms must keep both.
     for channel in (base, pauli_twirl(base), dd_effective_pulse_average(base)):
-        c = DensityMatrix(choi(channel).matrix, (2, 2))
+        c = DensityMatrix(transmit_bell_pair(channel).matrix, (2, 2))
         marginal = partial_trace(c, [0]).matrix
         assert np.abs(marginal - np.eye(2) / 2).max() < 1e-12
 
@@ -312,12 +314,12 @@ class TestPulseAverage:
 
     def test_twirled_choi_is_bell_diagonal(self):
         for channel in (amplitude_damping(0.3), depolarizing(0.2)):
-            c = choi(pauli_twirl(channel))
+            c = transmit_bell_pair(pauli_twirl(channel))
             rebuilt = bell_projection(c).to_density_matrix()
             assert np.abs(rebuilt.matrix - c.matrix).max() < 1e-10
 
     def test_displayed_average_choi_not_bell_diagonal_for_damping(self):
-        c = choi(dd_effective_pulse_average(amplitude_damping(0.3)))
+        c = transmit_bell_pair(dd_effective_pulse_average(amplitude_damping(0.3)))
         rebuilt = bell_projection(c).to_density_matrix()
         assert np.abs(rebuilt.matrix - c.matrix).max() > 1e-3
 

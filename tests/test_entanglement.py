@@ -93,7 +93,7 @@ class TestBellDiagonalClosedForm:
     def test_certificate_is_ppt(self):
         res = er_bell_diagonal(werner(0.9))
         sigma = res.certificate.assemble()
-        assert np.linalg.eigvalsh(partial_transpose(sigma)).min() > -1e-10
+        assert np.linalg.eigvalsh(partial_transpose(sigma.matrix)).min() > -1e-10
 
 
 class TestNegativity:
@@ -102,6 +102,11 @@ class TestNegativity:
 
     def test_bell_half(self):
         assert negativity(bell_pair()) == pytest.approx(0.5, abs=1e-12)
+
+    def test_rejects_non_pair(self):
+        # A 4x4 state that is not a qubit pair has no partial transpose.
+        with pytest.raises(ValueError):
+            negativity(DensityMatrix.maximally_mixed((4,)))
 
     def test_mixture_werner_sweep(self):
         # PT eigenvalue oracle: for the F-mixture family the negative part is
@@ -140,7 +145,7 @@ class TestNumericSolver:
         rho = random_density_matrix(np.random.default_rng(20), (2, 2))
         res = er_numeric(rho)
         sigma = res.certificate.assemble()
-        assert np.linalg.eigvalsh(partial_transpose(sigma)).min() > -1e-10
+        assert np.linalg.eigvalsh(partial_transpose(sigma.matrix)).min() > -1e-10
 
     def test_deterministic(self):
         rho = random_density_matrix(np.random.default_rng(29), (2, 2))
@@ -208,7 +213,7 @@ def check_x_result(rho, res):
     assert res.lower is not None and 0.0 <= res.lower <= res.value
     assert len(res.certificate.weights) <= 5
     sigma = res.certificate.assemble()
-    assert np.linalg.eigvalsh(partial_transpose(sigma)).min() >= -1e-10
+    assert np.linalg.eigvalsh(partial_transpose(sigma.matrix)).min() >= -1e-10
     assert relative_entropy(rho, sigma) == pytest.approx(res.value, abs=1e-9)
 
 
@@ -356,7 +361,7 @@ def check_general_result(rho, res):
     assert res.converged == (res.value - res.lower <= CERTIFIED_GAP)
     assert len(res.certificate.weights) <= 4
     sigma = res.certificate.assemble()
-    assert np.linalg.eigvalsh(partial_transpose(sigma)).min() >= -1e-10
+    assert np.linalg.eigvalsh(partial_transpose(sigma.matrix)).min() >= -1e-10
     assert relative_entropy(rho, sigma) == pytest.approx(res.value, abs=1e-9)
 
 

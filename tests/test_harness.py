@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -296,7 +297,7 @@ class TestExperiments:
         result = run(cfg)
         row = next(r for r in result.rows if r["protocol"] == "pre_channel_shaping")
         assert cfg.p == 0.2 and row["p_prime"] == 0.17
-        assert row["p_prime_realized"] == pytest.approx(0.17, abs=1e-12)
+        assert row["dd_noise_density_over_frequency"] == math.log(cfg.p / 0.17)
         assert row["er_per_pair_oracle"] == pytest.approx(
             er_bell_diagonal(werner_from_channel(0.17)).value, abs=1e-9
         )

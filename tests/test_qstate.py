@@ -6,7 +6,6 @@ import pytest
 from entshape.qstate import (
     BellDiagonalState,
     DensityMatrix,
-    bell_fidelity,
     bell_pair,
     bell_projection,
     bell_state,
@@ -22,6 +21,7 @@ from entshape.qstate import (
     werner,
     werner_from_channel,
 )
+from ree_oracle import inverse_ree_pair
 
 
 def ket_dm(vec, dims=(2,)):
@@ -120,10 +120,10 @@ class TestPartialTrace:
 class TestPartialTranspose:
     def test_identity_fixed_point(self):
         rho = DensityMatrix.maximally_mixed((2, 2))
-        assert np.allclose(partial_transpose(rho), rho.matrix)
+        assert np.allclose(partial_transpose(rho.matrix), rho.matrix)
 
     def test_bell_minimum_eigenvalue(self):
-        vals = np.linalg.eigvalsh(partial_transpose(bell_pair()))
+        vals = np.linalg.eigvalsh(partial_transpose(bell_pair().matrix))
         assert abs(vals.min() + 0.5) < 1e-12
 
     def test_involution(self):
@@ -137,7 +137,7 @@ class TestPartialTranspose:
         # the Bell weight (1 - p) crosses 1/2 at p = 1/2.
         def min_eig(p):
             rho = werner_from_channel(p).to_density_matrix()
-            return np.linalg.eigvalsh(partial_transpose(rho)).min()
+            return np.linalg.eigvalsh(partial_transpose(rho.matrix)).min()
 
         lo, hi = 0.0, 0.75
         for _ in range(60):
@@ -152,7 +152,7 @@ class TestPartialTranspose:
         # The F-mixture family turns PPT at the classic F = 1/3 instead.
         def min_eig(f):
             rho = werner(f).to_density_matrix()
-            return np.linalg.eigvalsh(partial_transpose(rho)).min()
+            return np.linalg.eigvalsh(partial_transpose(rho.matrix)).min()
 
         lo, hi = 1.0, 0.0
         for _ in range(60):
@@ -163,11 +163,25 @@ class TestPartialTranspose:
                 hi = mid
         assert abs(0.5 * (lo + hi) - 1 / 3) < 1e-9
 
+    def test_one_side_suffices(self):
+        # Transposing qubit A gives the full transpose of the B-side result,
+        # so the two spectra agree and the PPT test needs only one side.
+        rng = np.random.default_rng(13)
+        mats = [random_density_matrix(rng, (2, 2), rank=r).matrix for r in (1, 2, 4) for _ in range(8)]
+        pairs = [inverse_ree_pair(np.random.default_rng(seed), 4, 0.5) for seed in range(12)]
+        pairs = [pair for pair in pairs if pair is not None]
+        assert len(pairs) >= 3
+        mats += [state.matrix for pair in pairs for state in pair]
+        for m in mats:
+            a_side = m.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+            gap = np.linalg.eigvalsh(partial_transpose(m)) - np.linalg.eigvalsh(a_side)
+            assert np.abs(gap).max() < 1e-12
+
     def test_rejects_larger_systems(self):
         rng = np.random.default_rng(1)
         rho = random_density_matrix(rng, (2, 2, 2))
         with pytest.raises(ValueError):
-            partial_transpose(rho)
+            partial_transpose(rho.matrix)
 
 
 class TestEntropies:
@@ -313,8 +327,8 @@ class TestBellDiagonal:
         )
 
     def test_bell_fidelity_helper(self):
-        assert bell_fidelity(bell_pair()) == pytest.approx(1.0, abs=1e-12)
-        assert bell_fidelity(werner_from_channel(0.2).to_density_matrix()) == pytest.approx(0.8, abs=1e-12)
+        assert bell_projection(bell_pair()).fidelity == pytest.approx(1.0, abs=1e-12)
+        assert bell_projection(werner_from_channel(0.2).to_density_matrix()).fidelity == pytest.approx(0.8, abs=1e-12)
 
 
 def test_bell_states_orthonormal():
