@@ -33,7 +33,6 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--seed", dest="master_seed", type=int, help="64-bit master seed")
-        p.add_argument("--runs", dest="run_count", type=int, help="Monte Carlo run count")
         p.add_argument("--out", dest="out_dir", help="output directory (default: results)")
         p.add_argument(
             "--convention",

@@ -29,7 +29,6 @@ ER_FAMILIES = {
 ER_STATES = tuple(ER_FAMILIES)
 
 # Upper bounds that stop a huge count in validation instead of at allocation.
-MAX_RUN_COUNT = 10**7
 MAX_SWEEP_COUNT = 10**4
 MAX_TRAJECTORY_SAMPLES = 10**5
 # Past 2**1023 the per-round node count no longer converts to a float.
@@ -58,7 +57,6 @@ class ExperimentConfig:
     p_prime: float | None = None
     n_pairs: int = 4
     rounds: int = 2
-    run_count: int = 10_000
     master_seed: int = 20260808
     er_state: str = "werner"
     er_param: float = 0.8
@@ -98,8 +96,6 @@ class ExperimentConfig:
         # n_pairs is a power of two, so 2**rounds <= n_pairs reads off its bit length.
         if self.rounds < 0 or self.rounds >= self.n_pairs.bit_length():
             raise ConfigError(f"rounds = {self.rounds} too large for {self.n_pairs} pairs")
-        if not (1 <= self.run_count <= MAX_RUN_COUNT):
-            raise ConfigError(f"run_count = {self.run_count} outside [1, {MAX_RUN_COUNT}]")
         if not (0 <= self.master_seed < 2**64):
             raise ConfigError("master_seed must fit in 64 bits")
         if self.er_state not in ER_STATES:

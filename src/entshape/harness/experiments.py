@@ -1,11 +1,12 @@
 """Experiment implementations and result persistence.
 
 Determinism contract: every statistic in a result is a pure function of the
-configuration and the master seed. Each Monte Carlo row takes one vectorized
-categorical draw from a generator seeded with the master seed, and
-aggregation happens in run-index order. Output files are written atomically
-(temp file + rename); the wall-clock field is the only part of a result that
-varies between identical invocations.
+configuration and the master seed. Only ``check`` reads the seed: its random
+channel draws and its sampled runs, one vectorized categorical draw compared
+against the exact branch table. The table rows are exact, so ``table1`` and
+``table2`` give the same result under every seed. Output files are written
+atomically (temp file + rename); the wall-clock field is the only part of a
+result that varies between identical invocations.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .claims import claim
 from .config import CONVENTIONS, DEFAULT_P_PRIME, ER_FAMILIES, SIDES, ConfigError, ExperimentConfig, readings
 from .report import discrepancy_entry, render_report
 
-# Runs of the self-check's Monte Carlo comparison, whatever run_count says:
+# Sampled runs of the self-check's comparison with the exact branch table;
 # its standard-error test needs more than one run.
 SELFCHECK_RUNS = 4000
 
@@ -183,24 +184,20 @@ def calibrate_p_prime(target_er: float, bridge: str, geometry: str, p_raw: float
 
 
 def parallel_branch_indices(
-    state: BellDiagonalState, rounds: int, n_pairs: int, run_count: int, seed: int, _workers=None
+    state: BellDiagonalState, rounds: int, n_pairs: int, count: int, seed: int, _workers=None
 ) -> np.ndarray:
-    """Per-run branch indices for one distillation row, in one vectorized draw.
+    """Per-run branch indices of one distillation pipeline, in one vectorized draw.
 
-    The sixth argument is accepted and ignored, because
-    ``perfbench/tracer.py`` passes it when it wraps this function as the
-    Monte Carlo layer.
+    The self-check draws its runs here. The sixth argument is accepted and
+    ignored, because ``perfbench/tracer.py`` passes it when it wraps this
+    function as the sampling layer.
     """
     probs = first_failure_branches(state, rounds, n_pairs).probabilities
-    return sample_branch_indices(probs, seed, run_count)
+    return sample_branch_indices(probs, seed, count)
 
 
 def _distillation_row(cfg: ExperimentConfig, state: BellDiagonalState, bridge: str, geometry: str) -> dict:
     exact = dejmps_recursive(cfg.n_pairs, state, cfg.rounds)
-    indices = parallel_branch_indices(
-        state, cfg.rounds, cfg.n_pairs, cfg.run_count, cfg.master_seed
-    )
-    mc = dejmps_monte_carlo(exact, indices)
     global_bd = exact.global_state
     selected = exact.selected_state
     er_global = er_pair(global_bd)
@@ -211,17 +208,11 @@ def _distillation_row(cfg: ExperimentConfig, state: BellDiagonalState, bridge: s
         "sides": geometry,
         "input_fidelity": state.fidelity,
         "success_probability_exact": exact.success_probability,
-        "success_probability_mc": mc.success_mean,
-        "success_probability_mc_se": mc.success_se,
         "fidelity_selected_exact": selected.fidelity,
         "fidelity_global_exact": global_bd.fidelity,
-        "fidelity_global_mc": mc.fidelity_mean,
-        "fidelity_global_mc_se": mc.fidelity_se,
         "er_global_oracle": er_global["er_oracle"],
         "er_global_fidelity_form": er_global["er_fidelity_form"],
         "er_global_mixed_trash_oracle": er_bell_diagonal(exact.global_with_placeholder_trash()).value,
-        "er_global_mc_mean": mc.er_global_mean,
-        "er_global_mc_std": mc.er_global_std,
         "er_selected_oracle": er_selected["er_oracle"],
         "er_selected_fidelity_form": er_selected["er_fidelity_form"],
         "rate_selected_per_pair": exact.success_probability
@@ -635,9 +626,8 @@ def run_selfcheck(cfg: ExperimentConfig) -> ExperimentResult:
 
     state = werner_from_channel(cfg.p)
     exact = dejmps_recursive(cfg.n_pairs, state, cfg.rounds)
-    mc = dejmps_monte_carlo(
-        exact, sample_branch_indices(exact.probabilities, cfg.master_seed, SELFCHECK_RUNS)
-    )
+    indices = parallel_branch_indices(state, cfg.rounds, cfg.n_pairs, SELFCHECK_RUNS, cfg.master_seed)
+    mc = dejmps_monte_carlo(exact, indices)
     gap = abs(mc.success_mean - exact.success_probability)
     limit = 3 * max(mc.success_se, 1e-6)
     checks.append(("mc_vs_exact_success", gap <= limit, f"gap {gap:.4f} vs 3se {limit:.4f}"))

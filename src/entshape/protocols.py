@@ -18,10 +18,11 @@ node at a given round sees the same input state, so the full branch tree
 collapses to one success state and one failure state per round. The one
 outcome record, :class:`DistillationOutcome`, is the first-failure branch
 table: one entry per first failing round (rounds ascending) plus the
-all-success entry. The exact global mixture, the selected state and the
-Monte Carlo statistics are all read off that table. Every state in the
-distillation layer is Bell-diagonal, so the table carries and mixes Bell
-weights only; callers project other states with ``qstate.bell_projection``.
+all-success entry. The exact global mixture and the selected state are
+read off that table, and so are the sampled runs that ``check`` compares
+against it. Every state in the distillation layer is Bell-diagonal, so the
+table carries and mixes Bell weights only; callers project other states
+with ``qstate.bell_projection``.
 
 Pre-channel shaping needs no pipeline of its own: the shaped pair is the
 transmitted pair at the compressed parameter p' = p * ``dd_compression``,
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import er_bell_diagonal
 from .qstate import BellDiagonalState, binary_entropy
 
 
@@ -149,25 +149,14 @@ def dejmps_recursive(n_pairs: int, state: BellDiagonalState, rounds: int) -> Dis
     return first_failure_branches(state, rounds, n_pairs)
 
 
-# Batches over which the Monte Carlo global-mixture entanglement is summarized.
-BATCH_COUNT = 10
-
-
 @dataclass(frozen=True, eq=False)
 class MonteCarloStats:
-    """Sampled statistics for the recursive pipeline.
-
-    Standard errors accompany the run-level means; entanglement of the
-    sampled global mixture is estimated per batch and summarized as
-    mean +/- standard deviation over batches.
-    """
+    """Sampled success and fidelity means of the recursive pipeline, with standard errors."""
 
     success_mean: float
     success_se: float
     fidelity_mean: float
     fidelity_se: float
-    er_global_mean: float
-    er_global_std: float
 
 
 def sample_branch_indices(branch_probs: Sequence[float], master_seed: int, count: int) -> np.ndarray:
@@ -189,36 +178,24 @@ def dejmps_monte_carlo(exact: DistillationOutcome, indices: np.ndarray) -> Monte
     ``indices`` are branch indices into ``exact``, one per run, as drawn by
     :func:`sample_branch_indices`.
     """
-    run_count = len(indices)
-    if run_count < 1:
+    runs = len(indices)
+    if runs < 1:
         raise ValueError("at least one run is required")
     branch_weights = np.array([s.coefficients for s in exact.states])
     success_flags = (indices == len(exact.states) - 1).astype(float)
     run_fidelities = branch_weights[indices, 0]
 
-    n = float(run_count)
+    n = float(runs)
     success_mean = float(success_flags.mean())
-    success_se = float(success_flags.std(ddof=1) / math.sqrt(n)) if run_count > 1 else 0.0
+    success_se = float(success_flags.std(ddof=1) / math.sqrt(n)) if runs > 1 else 0.0
     fidelity_mean = float(run_fidelities.mean())
-    fidelity_se = float(run_fidelities.std(ddof=1) / math.sqrt(n)) if run_count > 1 else 0.0
-
-    batches = min(BATCH_COUNT, run_count)
-    er_global = []
-    bounds = [run_count * b // batches for b in range(batches + 1)]
-    for b in range(batches):
-        chunk = indices[bounds[b] : bounds[b + 1]]
-        counts = np.bincount(chunk, minlength=len(exact.states)).astype(float)
-        counts /= counts.sum()
-        er_global.append(er_bell_diagonal(BellDiagonalState(counts @ branch_weights)).value)
-    er_global = np.array(er_global)
+    fidelity_se = float(run_fidelities.std(ddof=1) / math.sqrt(n)) if runs > 1 else 0.0
 
     return MonteCarloStats(
         success_mean=success_mean,
         success_se=success_se,
         fidelity_mean=fidelity_mean,
         fidelity_se=fidelity_se,
-        er_global_mean=float(er_global.mean()),
-        er_global_std=float(er_global.std(ddof=1)) if batches > 1 else 0.0,
     )
 
 

@@ -203,7 +203,6 @@ def test_criterion_8_table2_reported(tmp_path):
             "convention": "oracle",
             "sides": "both",
             "out_dir": str(tmp_path),
-            "run_count": 10_000,
         },
     )
     result = run(cfg)

@@ -190,7 +190,7 @@ class TestTrajectory:
 
 def damping_suppression_row(out_dir):
     """`table2`'s row for the damping gap between one-shot damping 0.5 and 0.85 x 0.5."""
-    options = {"convention": "oracle", "sides": "one", "out_dir": str(out_dir), "run_count": 1000}
+    options = {"convention": "oracle", "sides": "one", "out_dir": str(out_dir)}
     cfg = build_config("table2", options)
     return next(r for r in run(cfg).rows if r["protocol"] == "damping_suppression")
 

@@ -16,7 +16,6 @@ from entshape.harness.config import (
     DEFAULT_P_PRIME,
     ER_STATES,
     MAX_N_PAIRS,
-    MAX_RUN_COUNT,
     MAX_SWEEP_COUNT,
     MAX_TRAJECTORY_SAMPLES,
     SIDES,
@@ -52,7 +51,7 @@ def strip_wall_clock(path: Path) -> str:
 class TestConfig:
     def test_parse_values(self):
         assert parse_value("p", "0.3") == 0.3
-        assert parse_value("run_count", "100") == 100
+        assert parse_value("n_pairs", "16") == 16
         assert parse_value("quiet", "true") is True
         assert parse_value("convention", "oracle") == "oracle"
 
@@ -62,9 +61,9 @@ class TestConfig:
 
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("# comment\np = 0.25\nrun_count = 500  # inline\nconvention = paper\n")
+        path.write_text("# comment\np = 0.25\nn_pairs = 8  # inline\nconvention = paper\n")
         overrides = load_config_file(path)
-        assert overrides == {"p": 0.25, "run_count": 500, "convention": "paper"}
+        assert overrides == {"p": 0.25, "n_pairs": 8, "convention": "paper"}
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -133,7 +132,7 @@ class TestConfig:
 
     def test_removed_keys_rejected(self):
         for key in (
-            "workers", "ad_grid", "ad_slices", "batch_count",
+            "workers", "ad_grid", "ad_slices", "batch_count", "run_count",
             "dd_noise_density", "dd_pulse_count", "dd_pulse_frequency",
         ):
             with pytest.raises(ConfigError, match="unknown"):
@@ -154,7 +153,6 @@ def config_values(draw):
         "p_prime": draw(st.floats(0.0, 0.75)),
         "n_pairs": 2**exponent,
         "rounds": draw(st.integers(0, exponent)),
-        "run_count": draw(st.integers(1, MAX_RUN_COUNT)),
         "master_seed": draw(st.integers(0, 2**64 - 1)),
         "er_state": draw(st.sampled_from(ER_STATES)),
         # [0, 3/4] lies inside every state family's domain.
@@ -276,7 +274,6 @@ class TestExperiments:
             {
                 "convention": "both",
                 "out_dir": str(tmp_path),
-                "run_count": 2000,
             },
         )
         result = run(cfg)
@@ -292,7 +289,7 @@ class TestExperiments:
     def test_pes_row_realizes_compressed_parameter(self, tmp_path):
         cfg = build_config(
             "table1",
-            {"convention": "oracle", "sides": "one", "out_dir": str(tmp_path), "run_count": 100},
+            {"convention": "oracle", "sides": "one", "out_dir": str(tmp_path)},
         )
         result = run(cfg)
         row = next(r for r in result.rows if r["protocol"] == "pre_channel_shaping")
@@ -305,7 +302,7 @@ class TestExperiments:
     def test_table2_damping_gap_carries_interval(self, tmp_path):
         cfg = build_config(
             "table2",
-            {"convention": "oracle", "sides": "one", "out_dir": str(tmp_path), "run_count": 1000},
+            {"convention": "oracle", "sides": "one", "out_dir": str(tmp_path)},
         )
         result = run(cfg)
         row = next(r for r in result.rows if r["protocol"] == "damping_suppression")
@@ -315,7 +312,7 @@ class TestExperiments:
     def test_every_claim_check_has_single_status(self, tmp_path):
         cfg = build_config(
             "table1",
-            {"convention": "both", "out_dir": str(tmp_path), "run_count": 1000},
+            {"convention": "both", "out_dir": str(tmp_path)},
         )
         result = run(cfg)
         for entry in result.discrepancies:
@@ -380,7 +377,7 @@ class TestExperiments:
         assert row["er_numeric"] == pytest.approx(row["er_closed_form"], abs=5e-3)
 
     def test_selfcheck_passes(self, tmp_path):
-        cfg = build_config("selfcheck", {"out_dir": str(tmp_path), "run_count": 2000})
+        cfg = build_config("selfcheck", {"out_dir": str(tmp_path)})
         result = run(cfg)
         assert result.ok
         assert all(row["ok"] for row in result.rows)
@@ -388,7 +385,7 @@ class TestExperiments:
 
 class TestCLI:
     def test_check_exit_zero(self, tmp_path):
-        proc = cli("check", "--out", str(tmp_path), "--runs", "1500", "--quiet")
+        proc = cli("check", "--out", str(tmp_path), "--quiet")
         assert proc.returncode == 0, proc.stderr
 
     def test_missing_convention_exits_two(self, tmp_path):
@@ -410,8 +407,8 @@ class TestCLI:
     @pytest.mark.parametrize(
         "args",
         [
-            ("table1", "--convention", "both", "--runs", "3000"),
-            ("table2", "--convention", "oracle", "--runs", "3000"),
+            ("table1", "--convention", "both"),
+            ("table2", "--convention", "oracle"),
             ("flow", "--convention", "oracle"),
             ("sweep", "--convention", "both"),
             ("er", "--convention", "oracle", "--state", "amplitude_damping", "--param", "0.3"),
@@ -433,11 +430,30 @@ class TestCLI:
             )
         assert outputs[0] and outputs[0] == outputs[1]
 
-    def test_check_single_run_exits_zero(self, tmp_path):
-        # The self-check draws a fixed number of runs, so run_count = 1 still
-        # leaves it a standard error to compare against.
-        proc = cli("check", "--out", str(tmp_path), "--runs", "1", "--quiet")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("table1", "--convention", "both", "--sides", "both"),
+            ("table2", "--convention", "oracle", "--sides", "both"),
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_tables_are_seed_free(self, tmp_path, args):
+        # Every table column is read off the exact branch table.
+        documents, reports = [], []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            proc = cli(*args, "--seed", seed, "--out", str(out), "--quiet")
+            assert proc.returncode == 0, proc.stderr
+            doc = json.loads((out / f"{args[0]}_result.json").read_text())
+            for key in ("wall_clock_seconds", "files"):
+                del doc[key]
+            for key in ("master_seed", "out_dir"):
+                del doc["config"][key]
+            documents.append(doc)
+            reports.append((out / f"{args[0]}_discrepancy_report.txt").read_bytes())
+        assert documents[0] == documents[1]
+        assert reports[0] == reports[1]
 
     def test_config_cannot_override_subcommand(self, tmp_path):
         config = tmp_path / "f.cfg"
@@ -468,13 +484,21 @@ class TestCLI:
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_huge_run_count_exits_two(self, tmp_path):
-        proc = cli(
-            "table1", "--convention", "oracle", "--runs", str(MAX_RUN_COUNT + 1),
-            "--out", str(tmp_path),
-        )
+    def test_runs_flag_is_gone(self, tmp_path):
+        out = tmp_path / "out"
+        proc = cli("table1", "--convention", "oracle", "--runs", "10", "--out", str(out))
         assert proc.returncode == 2, proc.stderr
-        assert "run_count" in proc.stderr and "Traceback" not in proc.stderr
+        assert "--runs" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_run_count_key_is_gone(self, tmp_path):
+        config = tmp_path / "runs.cfg"
+        config.write_text("run_count = 10\n")
+        out = tmp_path / "out"
+        proc = cli("table1", "--convention", "oracle", "--config", str(config), "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "unknown configuration key" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_huge_sweep_count_exits_two(self, tmp_path):
         config = tmp_path / "huge.cfg"

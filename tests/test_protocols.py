@@ -298,7 +298,7 @@ class TestMonteCarlo:
         _, a = _monte_carlo(state, 5000, 99)
         _, b = _monte_carlo(state, 5000, 99)
         assert a.success_mean == b.success_mean
-        assert a.er_global_mean == b.er_global_mean
+        assert a.fidelity_mean == b.fidelity_mean
 
     @pytest.mark.parametrize("fidelity", [0.7, 0.8, 0.9])
     def test_branch_frequencies_match_exact_tree(self, fidelity):
@@ -320,12 +320,6 @@ class TestMonteCarlo:
         assert abs(mc.success_mean - exact.success_probability) <= 3 * mc.success_se
         exact_fid = exact.global_state.fidelity
         assert abs(mc.fidelity_mean - exact_fid) <= 3 * mc.fidelity_se
-
-    def test_er_estimates_track_exact(self):
-        state = werner_from_channel(0.2)
-        exact, mc = _monte_carlo(state, 10_000, 7)
-        exact_global = er_bell_diagonal(exact.global_state).value
-        assert abs(mc.er_global_mean - exact_global) <= max(3 * mc.er_global_std, 5e-3)
 
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError):
