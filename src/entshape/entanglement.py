@@ -13,9 +13,11 @@ certificate with an exact product-state maximum, and ``converged`` means
 value - lower <= CERTIFIED_GAP (1e-9 bits). It has two paths:
 
 * X-state reduction, for inputs whose only coherence is between |00> and
-  |11> (every damped, dephased or depolarized Bell pair the harness builds).
-  The optimum is itself an X state, so the search shrinks to four numbers
-  and is solved by Newton steps; the certificate has at most 5 atoms.
+  |11> (every damped, dephased or depolarized Bell pair the harness builds),
+  and for inputs a local unitary away from such a state (pre-rotated damped
+  pairs, pure states), which are rotated into that form first. The optimum
+  is itself an X state, so the search shrinks to four numbers and is solved
+  by Newton steps; the certificate has at most 5 atoms.
 * PPT barrier, for every other input and for an X state whose reduced
   interval does not close: separable equals PPT for two qubits, so Newton
   steps on log-det barriers solve the convex program directly, and the
@@ -198,17 +200,20 @@ def er_numeric(rho: DensityMatrix) -> ERResult:
     """Certified interval [lower, value] for the relative entropy of entanglement of a qubit pair.
 
     X-shaped inputs (no entry above 1e-12 outside the diagonal and the
-    |00><11| coherence) take the reduced solver; every other input, and an
-    X-shaped one whose interval the reduced solver cannot close, takes the
-    PPT barrier solver. ``converged`` means value - lower <= CERTIFIED_GAP
-    bits; a wider interval is reported, never hidden.
+    |00><11| coherence) take the reduced solver, and so do inputs that a
+    local unitary takes to X shape (see the front-end notes below); every
+    other input, and one whose interval the reduced solver cannot close,
+    takes the PPT barrier solver. ``converged`` means value - lower <=
+    CERTIFIED_GAP bits; a wider interval is reported, never hidden.
     """
     if rho.dims != (2, 2):
         raise ValueError(f"numeric minimization expects a qubit pair, got dims {rho.dims}")
     if np.abs(rho.matrix[~_X_PATTERN]).max() <= X_STATE_TOL:
         result = _er_x_state(rho)
-        if result.converged:
-            return result
+    else:
+        result = _er_x_frame(rho)
+    if result is not None and result.converged:
+        return result
     return _er_ppt_barrier(rho)
 
 
@@ -430,15 +435,32 @@ _BASIS_ATOMS = tuple(
 )
 
 
-def _coherence_gradient(l1: float, l2: float, t: float, block: np.ndarray) -> np.ndarray:
-    """D ln(S)[R] for S with eigenvalue e^l1 on (cos t, sin t) and e^l2 on (-sin t, cos t)."""
+def _block_in_eigenbasis(
+    pops: np.ndarray, r: float, cos: float, sin: float, sin2: float, cos2: float
+) -> tuple[float, float, float]:
+    """<u1|R|u1>, <u2|R|u2> and <u1|R|u2> for R = [[p00, r], [r, p11]], u1 = (cos t, sin t), u2 = (-sin t, cos t).
+
+    sin2 and cos2 are sin 2t and cos 2t. Each diagonal entry is a square plus
+    a non-negative defect, so a tiny one (S nearly orthogonal to a nearly
+    pure R) keeps its digits.
+    """
+    root0, root3 = math.sqrt(pops[0]), math.sqrt(pops[3])
+    defect = max(root0 * root3 - r, 0.0) * sin2  # r <= sqrt(p00 p11) may still exceed root0 * root3 by an ulp
+    r1 = (root0 * cos + root3 * sin) ** 2 - defect
+    r2 = (root0 * sin - root3 * cos) ** 2 + defect
+    return r1, r2, (pops[3] - pops[0]) * sin2 / 2 + r * cos2
+
+
+def _coherence_gradient(l1: float, l2: float, t: float, pops: np.ndarray, r: float) -> np.ndarray:
+    """D ln(S)[R] for S with eigenvalue e^l1 on u1 and e^l2 on u2; R, u1, u2 as in _block_in_eigenbasis."""
     cos, sin = math.cos(t), math.sin(t)
     vecs = np.array([[cos, -sin], [sin, cos]])
+    r1, r2, r12 = _block_in_eigenbasis(pops, r, cos, sin, math.sin(2 * t), math.cos(2 * t))
     with np.errstate(all="ignore"):  # subnormal eigenvalues give inf or NaN; the caller checks
         e1, e2 = np.exp(l1), np.exp(l2)
         divided = (l1 - l2) / (e2 * np.expm1(l1 - l2)) if l1 != l2 else 1 / e2  # (l1 - l2)/(e1 - e2)
         f = np.array([[1 / e1, divided], [divided, 1 / e2]])
-        return vecs @ (f * (vecs.T @ block @ vecs)) @ vecs.T
+        return vecs @ (f * np.array([[r1, r12], [r12, r2]])) @ vecs.T
 
 
 def _flanks(x: float, p01: float, p10: float) -> tuple[float, float]:
@@ -470,13 +492,8 @@ def _x_objective(v: np.ndarray, pops: np.ndarray, r: float) -> tuple[float, np.n
     if not (x > 0 and b > 0 and c > 0):
         return math.inf, None, None
     cos, sin = math.cos(t), math.sin(t)
-    # <u|R|u> on each eigenvector as a square plus a non-negative defect, so a
-    # tiny r2 (S nearly orthogonal to a nearly pure R) keeps its digits.
-    root0, root3 = math.sqrt(pops[0]), math.sqrt(pops[3])
-    defect = (root0 * root3 - r) * sin2
-    r1 = (root0 * cos + root3 * sin) ** 2 - defect
-    r2 = (root0 * sin - root3 * cos) ** 2 + defect
-    r1_t = (pops[3] - pops[0]) * sin2 + 2 * r * cos2
+    r1, r2, r12 = _block_in_eigenbasis(pops, r, cos, sin, sin2, cos2)
+    r1_t = 2 * r12
     r1_tt = 2 * (pops[3] - pops[0]) * cos2 - 4 * r * sin2
     h = b + c - pops[1] * math.log(b) - pops[2] * math.log(c)
     h_x = 2 * (b - pops[1]) / x
@@ -633,7 +650,7 @@ def _er_x_state(rho: DensityMatrix) -> ERResult:
 
     # G = D ln(sigma)[rho] for the Frank-Wolfe bound, taken at the X state the
     # certificate assembles to within rounding.
-    g = _coherence_gradient(l1, l2, t, np.array([[pops[0], r], [r, pops[3]]]))
+    g = _coherence_gradient(l1, l2, t, pops, r)
     # A subnormal flank population can leave its certificate flank at 0.
     ratios = [(p / f if f else math.inf) if p else 0.0 for p, f in ((pops[1], b), (pops[2], c))]
     # A subnormal eigenvalue of sigma overflows G; no finite bound exists then.
@@ -649,3 +666,67 @@ def _er_x_state(rho: DensityMatrix) -> ERResult:
         top = math.inf
     return _frank_wolfe_interval(rho, certificate, certificate.assemble(), steps, top)
 
+
+# Local-unitary front end. With Pauli coordinates C = [[1, b^T], [a, T]] (Bloch
+# vectors a, b and correlations T_ij = Tr[rho s_i (x) s_j]), a product unitary
+# acts as a -> R_A a, b -> R_B b, T -> R_A T R_B^T for rotations R_A, R_B in
+# SO(3), and E_R does not change. An X state has a and b on the z axis, T_xz =
+# T_yz = T_zx = T_zy = 0, T_xx = -T_yy and T_xy = T_yx, so T's singular values
+# are (r, r, s). The SVD T = U D V^T with U, V in SO(3) makes T diagonal; one of
+# the 3 cyclic relabelings of the axes then puts the s axis on z, and one of the
+# 4 sign flips of det 1 on B (diag(1, -1, -1) is the I (x) X relabel) gives
+# T_xx = -T_yy. For r != s that finds every state a local unitary away from an
+# X state; the rest keep the general path. Dropping what is left outside the X
+# pattern is the local-phase twirl of the reduction notes above, which never
+# raises E_R, so the twirled state's lower bound holds for the input.
+
+
+def _on_pauli_index(rotation: np.ndarray) -> np.ndarray:
+    """diag(1, R): a Bloch rotation R acting on one qubit's Pauli index."""
+    out = np.eye(4)
+    out[1:, 1:] = rotation
+    return out
+
+
+_CYCLES = tuple(np.roll(np.eye(3), k, axis=0) for k in range(3))
+_FLIPS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+# (12, 2, 4, 4): for A and for B, in the order tried. Row scaling, not a
+# matrix product, so importing the module does not allocate BLAS buffers.
+_RELABELS = np.array(
+    [[_on_pauli_index(cycle), _on_pauli_index(flip[:, None] * cycle)] for cycle in _CYCLES for flip in _FLIPS]
+)
+
+
+def _er_x_frame(rho: DensityMatrix) -> ERResult | None:
+    """X-path interval for a state a local unitary away from an X state; None if no frame is found.
+
+    The X state is solved in its own frame and its certificate's Bloch vectors
+    are rotated back, so ``value`` is D(rho || certificate) on the input
+    itself; ``lower`` carries over, since the twirled X state's E_R is at
+    most the input's.
+    """
+    coords = np.einsum("kab,ba->k", _BASIS, rho.matrix).real.reshape(4, 4)
+    u, _, vt = np.linalg.svd(coords[1:, 1:])
+    u[:, 2] *= np.linalg.det(u)  # into SO(3): the sign moves onto the third singular value
+    vt[2] *= np.linalg.det(vt)
+    rot_a = _RELABELS[:, 0] @ _on_pauli_index(u.T)
+    rot_b = _RELABELS[:, 1] @ _on_pauli_index(vt)
+    # Every candidate at once: rotated coordinates, then rotated states.
+    states = np.tensordot(rot_a @ coords @ rot_b.transpose(0, 2, 1), _BASIS.reshape(4, 4, 4, 4), 2) / 4
+    found = np.flatnonzero(np.abs(states[:, ~_X_PATTERN]).max(axis=1) <= X_STATE_TOL)
+    if not found.size:
+        return None
+    k = found[0]
+    rot_a, rot_b, m = rot_a[k, 1:, 1:], rot_b[k, 1:, 1:], np.where(_X_PATTERN, states[k], 0)
+    result = _er_x_state(DensityMatrix(m, (2, 2)))
+    theta, phi = np.moveaxis(np.array(result.certificate.product_states), -1, 0)  # each (atom, qubit)
+    bloch = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
+    back = np.stack([bloch[:, 0] @ rot_a, bloch[:, 1] @ rot_b], axis=1)  # R^T n per atom
+    # atan2 keeps the polar angle of a near-pole atom to the last bit; acos of n_z does not.
+    theta = np.arctan2(np.hypot(back[..., 0], back[..., 1]), back[..., 2])
+    phi = np.arctan2(back[..., 1], back[..., 0])
+    atoms = tuple(((float(ta), float(pa)), (float(tb), float(pb))) for (ta, tb), (pa, pb) in zip(theta, phi))
+    certificate = SeparableAnsatz(result.certificate.weights, atoms)
+    value = max(relative_entropy(rho, certificate.assemble()), 0.0)
+    lower = min(result.lower, value)  # the input-frame value can round below the twirled state's bound
+    return ERResult(value, certificate, result.iterations, value - lower <= CERTIFIED_GAP, lower)

@@ -184,8 +184,8 @@ class TestNumericSolver:
         assert checked_sep >= 10 and checked_ent >= 10
 
 
-def damped_pair(gamma, gamma_a=0.0):
-    rho = apply(amplitude_damping(gamma), bell_pair(), target=1)
+def damped_pair(gamma, gamma_a=0.0, bell=0):
+    rho = apply(amplitude_damping(gamma), bell_pair(bell), target=1)
     return apply(amplitude_damping(gamma_a), rho, target=0) if gamma_a else rho
 
 
@@ -369,19 +369,48 @@ def is_x_shaped(rho):
     return np.abs(rho.matrix[~entanglement._X_PATTERN]).max() <= entanglement.X_STATE_TOL
 
 
+def check_result(rho, res):
+    """check_x_result when rho has an X frame whose interval closes (er_numeric returns that solve), else check_general_result."""
+    frame = entanglement._er_x_frame(rho)
+    if frame is not None and frame.converged:
+        assert res.value == frame.value
+        check_x_result(rho, res)
+    else:
+        check_general_result(rho, res)
+
+
+def no_general_path(rho):
+    raise AssertionError("er_numeric took the general path")
+
+
+def rotated_damped_pairs():
+    """(I (x) U)|Phi+> damped on B, for the three rotations U of perfbench's ree-general panel."""
+    pairs = []
+    for gamma, theta, phase in ((0.3, math.pi / 3, math.pi / 4), (0.15, math.pi / 2, 0.0), (0.45, 2 * math.pi / 3, 1.5 * math.pi)):
+        u = np.array(
+            [
+                [math.cos(theta / 2), -math.sin(theta / 2) * np.exp(-1j * phase)],
+                [math.sin(theta / 2) * np.exp(1j * phase), math.cos(theta / 2)],
+            ]
+        )
+        rotated = DensityMatrix.from_state_vector(np.kron(np.eye(2), u) @ bell_state(), (2, 2))
+        pairs.append(apply(amplitude_damping(gamma), rotated, target=1))
+    return pairs
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     weights=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 1e-3),
     seed=st.none() | st.integers(0, 2**32 - 1),
 )
-@example(weights=[0.0, 0.0, 1.0, 0.0], seed=None)  # the singlet: a singular Newton system late on
+@example(weights=[0.0, 0.0, 1.0, 0.0], seed=None)  # the singlet; test_general_path_step_budget puts it on the barrier
 def test_rotated_bell_diagonal_interval_holds_closed_form(weights, seed):
     w = np.array(weights) / sum(weights)
     u = np.eye(4) if seed is None else random_product_unitary(np.random.default_rng(seed))
     rho = DensityMatrix(u @ BellDiagonalState(w).to_density_matrix().matrix @ u.conj().T, (2, 2))
     assume(not is_x_shaped(rho))
     res = er_numeric(rho)
-    check_general_result(rho, res)
+    check_result(rho, res)
     lam = w.max()
     closed = 1 - binary_entropy(lam) if lam > 0.5 else 0.0
     assert res.lower - CERTIFIED_GAP <= closed <= res.value + CERTIFIED_GAP
@@ -396,7 +425,7 @@ def test_pure_state_interval_holds_entanglement_entropy(amplitudes):
     rho = DensityMatrix.from_state_vector(psi, (2, 2))
     assume(not is_x_shaped(rho))
     res = er_numeric(rho)
-    check_general_result(rho, res)
+    check_result(rho, res)
     assert res.lower - CERTIFIED_GAP <= er_pure(psi).value <= res.value + CERTIFIED_GAP
 
 
@@ -409,26 +438,19 @@ def test_inverse_ree_oracle_interval_holds_exact_value(seed, rank, fraction):
     assume(not is_x_shaped(rho))
     exact = relative_entropy(rho, sigma)
     res = er_numeric(rho)
-    check_general_result(rho, res)
+    check_result(rho, res)
     assert res.lower - CERTIFIED_GAP <= exact <= res.value + CERTIFIED_GAP
     assert abs(res.value - exact) <= 1e-10
 
 
-def test_general_path_step_budget():
+def test_general_path_step_budget(monkeypatch):
     # Intermediate barrier stages stop at decrement 0.1, which keeps these
     # solves near 40 Newton steps; centering every stage to rounding takes
-    # 80-113, so a budget of 70 separates the two stop rules.
-    phi_plus = bell_state()
-    inputs = []
-    for gamma, theta, phase in ((0.3, math.pi / 3, math.pi / 4), (0.15, math.pi / 2, 0.0), (0.45, 2 * math.pi / 3, 1.5 * math.pi)):
-        u = np.array(
-            [
-                [math.cos(theta / 2), -math.sin(theta / 2) * np.exp(-1j * phase)],
-                [math.sin(theta / 2) * np.exp(1j * phase), math.cos(theta / 2)],
-            ]
-        )
-        rotated = DensityMatrix.from_state_vector(np.kron(np.eye(2), u) @ phi_plus, (2, 2))
-        inputs.append(apply(amplitude_damping(gamma), rotated, target=1))
+    # 80-113, so a budget of 70 separates the two stop rules. The barrier is
+    # called directly: the singlet (a singular Newton system late on) and the
+    # rotated pairs now take the X path in er_numeric.
+    rotated = rotated_damped_pairs()
+    inputs = list(rotated)
     rng = np.random.default_rng(53)
     for w in (0.6, 0.75, 0.9):
         psi = random_pure_state(rng)
@@ -436,15 +458,102 @@ def test_general_path_step_budget():
         inputs.append(DensityMatrix(w * np.outer(psi, psi.conj()) + (1 - w) * tau, (2, 2)))
     for rho in inputs:
         assert not is_x_shaped(rho)
-        res = er_numeric(rho)
+        res = _er_ppt_barrier(rho)
         check_general_result(rho, res)
         assert res.converged and res.iterations <= 70, res
     for psi in (bell_state(2), random_pure_state(rng)):
         rho = DensityMatrix.from_state_vector(psi, (2, 2))
-        res = er_numeric(rho)
+        res = _er_ppt_barrier(rho)
         check_general_result(rho, res)
         assert res.converged
         assert res.lower - CERTIFIED_GAP <= er_pure(psi).value <= res.value + CERTIFIED_GAP
+    # er_numeric sends the rotated pairs, a local unitary away from X states, to the X path.
+    monkeypatch.setattr(entanglement, "_er_ppt_barrier", no_general_path)
+    for rho in rotated:
+        res = er_numeric(rho)
+        check_x_result(rho, res)
+        assert res.converged
+
+
+class TestLocalUnitaryFrame:
+    def test_certificate_closes_exact_frank_wolfe_bound_in_input_frame(self):
+        # The certificate is rotated back into the input's frame, so the exact
+        # product-state maximum of G = D ln(sigma)[rho] there must be 1 to
+        # rounding. A tilt by 1e-6 or 1e-8 puts back-rotated atoms that close
+        # to a pole, where acos(n_z) in place of atan2 loses up to 1e-8 in the
+        # polar angle and opens the gap to 3e-12 - 2e-9 bits.
+        tilted = []
+        for delta in (1e-6, 1e-8):
+            tilt = np.array([[math.cos(delta / 2), -math.sin(delta / 2)], [math.sin(delta / 2), math.cos(delta / 2)]])
+            for u in (np.kron(tilt, np.eye(2)), np.kron(np.eye(2), tilt)):
+                tilted.append(DensityMatrix(u @ damped_pair(0.3, 0.2).matrix @ u.T, (2, 2)))
+        for rho in rotated_damped_pairs() + tilted:
+            assert not is_x_shaped(rho)
+            res = er_numeric(rho)
+            sigma = res.certificate.assemble().matrix
+            top = entanglement._product_max(entanglement._log_gradient(rho.matrix, sigma))
+            assert res.converged and (top - 1) / math.log(2) <= 1e-12
+
+    def test_rank_one_block_certifies_on_x_path(self, monkeypatch):
+        # X states whose {|00>, |11>} block has rank one up to an ulp or so, as
+        # the frame of a rotated Psi-type output or pure state leaves them. The
+        # optimal sigma's small block eigenvalue falls below 1e-15, so G needs
+        # <u2|R|u2> to its last digit. The last state, the frame of a rotated
+        # Phi+, has |rho_03| = sqrt(p00 p11) one ulp above sqrt(p00) sqrt(p11),
+        # which must not turn <u2|R|u2> negative and the objective unbounded.
+        monkeypatch.setattr(entanglement, "_er_ppt_barrier", no_general_path)
+        states = [x_state([0.35 + k * 2.0**-54, 0.0, 0.3, 0.35 - k * 2.0**-54], 0.35) for k in (0, 1, 2, -1, 16, 1000)]
+        states.append(x_state([0.49999999999999967, 8.3266726846886741e-17, 8.3266726846886741e-17, 0.49999999999999978], 0.4999999999999997))
+        for rho in states:
+            res = er_numeric(rho)
+            check_x_result(rho, res)
+            assert res.converged
+
+    def test_states_without_an_x_frame_keep_the_general_path(self):
+        # A generic full-rank state has three distinct singular values in T.
+        rho = random_density_matrix(np.random.default_rng(19), (2, 2))
+        assert entanglement._er_x_frame(rho) is None
+
+
+I_X = np.kron(np.eye(2), np.array([[0, 1], [1, 0]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    source=st.sampled_from(["one_sided", "two_sided", "psi_type", *sorted(X_CASES)]),
+    gamma=st.floats(0.0, 0.999999),
+    gamma_a=st.floats(0.0, 0.999999),
+    seed=st.none() | st.integers(0, 2**32 - 1),
+)
+def test_local_unitary_away_from_x_state_takes_x_path(source, gamma, gamma_a, seed):
+    # E_R is invariant under U (x) V, so er_numeric must solve U (x) V rho U^dag (x) V^dag
+    # on the X path whenever rho is an X state the X path certifies. The psi_type
+    # input, the singlet (a y-rotation by pi on A of Phi+) damped on both sides,
+    # is I (x) X away from an X state. As gamma -> 1 the correlations T shrink to
+    # 0 and the SVD frame loses the digits the X-pattern test needs (at 1 - 1e-9
+    # some inputs keep the general path), so gamma stays at most 1 - 1e-6.
+    if source == "psi_type":
+        start = damped_pair(gamma, gamma_a, bell=2)
+        x_form = DensityMatrix(I_X @ start.matrix @ I_X, (2, 2))
+    else:
+        if source == "one_sided":
+            start = damped_pair(gamma)
+        elif source == "two_sided":
+            start = damped_pair(gamma, gamma_a)
+        else:
+            start = X_CASES[source]
+        x_form = start
+    assert is_x_shaped(x_form)
+    reference = entanglement._er_x_state(x_form)
+    assume(reference.converged)
+    u = np.eye(4) if seed is None else random_product_unitary(np.random.default_rng(seed))
+    rho = DensityMatrix(u @ start.matrix @ u.conj().T, (2, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entanglement, "_er_ppt_barrier", no_general_path)
+        res = er_numeric(rho)
+    check_x_result(rho, res)
+    assert res.converged
+    assert abs(res.value - reference.value) <= CERTIFIED_GAP
 
 
 class TestMonotonicityAndConvexity:
