@@ -191,7 +191,7 @@ def negativity(rho: DensityMatrix) -> float:
 def _log_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Frechet derivative of Tr[rho ln sigma]: G with d/dt Tr[rho ln(sigma+tD)] = Tr[D G]."""
     svals, svecs = np.linalg.eigh(sigma)
-    f1 = _ln_divided_differences(np.clip(svals, 1e-300, None))[0]
+    f1 = _ln_first_differences(np.clip(svals, 1e-300, None))
     g = svecs @ (f1 * (svecs.conj().T @ rho @ svecs)) @ svecs.conj().T
     return 0.5 * (g + g.conj().T)
 
@@ -229,49 +229,53 @@ CERTIFIED_GAP = 1e-9  # value - lower, in bits, below which a numeric result rep
 _PPT_MAX_STEPS = 500  # Newton steps over all barrier stages
 _BARRIER_GAP = 1e-10  # the last stage has 8 / t below this, in nats
 _BASIS = np.array([np.kron(p, q) for p in PAULIS for q in PAULIS])
+_BASIS_ROWS = _BASIS.reshape(16, 16)  # np.tensordot(s, _BASIS, 1) is np.dot(s[None], _BASIS_ROWS), reshaped
 _PT_SIGN = np.array([-1.0 if k % 4 == 2 else 1.0 for k in range(16)])  # B_k^{T_B} = +-B_k
 _TRIPLES = np.sort(np.indices((4, 4, 4)).reshape(3, -1).T, axis=1).T  # each (i, m, j), sorted
 _SPIN_FLIP = np.kron(PAULIS[2], PAULIS[2]).real
 _HADAMARD = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 2
 
 
-def _ln_divided_differences(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second divided differences of ln at ascending eigenvalues lam."""
+def _ln_first_differences(lam: np.ndarray) -> np.ndarray:
+    """First divided differences of ln at ascending eigenvalues lam."""
     gap = lam[:, None] - lam[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = gap / lam[None, :]
         f1 = np.where(np.abs(ratio) < 0.5, np.log1p(ratio), np.log(lam)[:, None] - np.log(lam)[None, :]) / gap
-        f1 = np.where(gap == 0, 1 / lam[None, :], f1)
-        lo, mid, hi = lam[_TRIPLES]
+    return np.where(gap == 0, 1 / lam[None, :], f1)
+
+
+def _barrier_point(s: np.ndarray, rho: np.ndarray) -> tuple | None:
+    """t-free pieces of F_t at s, the first three giving F_t = t a - b - c; None outside the cone."""
+    lam, vecs = np.linalg.eigh(np.dot(s[None], _BASIS_ROWS).reshape(4, 4) / 4)
+    nu, pt_vecs = np.linalg.eigh(np.dot((s * _PT_SIGN)[None], _BASIS_ROWS).reshape(4, 4) / 4)
+    if not min(lam[0], nu[0]) > 0:
+        return None
+    r = vecs.conj().T @ rho @ vecs
+    logs = np.log(lam)
+    return lam.sum() - r.diagonal().real @ logs, logs.sum(), np.log(nu).sum(), lam, vecs, nu, pt_vecs, r
+
+
+def _barrier_derivatives(lam, vecs, nu, pt_vecs, r) -> tuple[np.ndarray, ...]:
+    """t-free pieces of F_t's gradient, 4 grad = -t g1 - g2 - g3 + 4t e_0, and Hessian, 16 hess = -t h1 + h2 + h3."""
+    f1 = _ln_first_differences(lam)
+    lo, mid, hi = lam[_TRIPLES]
+    with np.errstate(divide="ignore", invalid="ignore"):
         split = (f1[_TRIPLES[2], _TRIPLES[1]] - f1[_TRIPLES[1], _TRIPLES[0]]) / (hi - lo)
         # Nearly equal triples: Taylor series about the mean, -1/(2m^2) - sum(dev^2)/(8m^4).
         mean = (lo + mid + hi) / 3
         taylor = -0.5 / mean**2 - ((lo - mean) ** 2 + (mid - mean) ** 2 + (hi - mean) ** 2) / (8 * mean**4)
-    return f1, np.where(hi - lo <= 1e-4 * hi, taylor, split).reshape(4, 4, 4)
-
-
-def _barrier(s: np.ndarray, rho: np.ndarray, t: float) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """F_t, its gradient and its Hessian in the Pauli coordinates s; infinite outside the cone."""
-    lam, vecs = np.linalg.eigh(np.tensordot(s, _BASIS, 1) / 4)
-    nu, pt_vecs = np.linalg.eigh(np.tensordot(s * _PT_SIGN, _BASIS, 1) / 4)
-    if not min(lam[0], nu[0]) > 0:
-        return math.inf, None, None
-    r = vecs.conj().T @ rho @ vecs
-    logs = np.log(lam)
-    value = t * (lam.sum() - r.diagonal().real @ logs) - logs.sum() - np.log(nu).sum()
-    f1, f2 = _ln_divided_differences(lam)
+    f2 = np.where(hi - lo <= 1e-4 * hi, taylor, split).reshape(4, 4, 4)  # second divided differences
     b = vecs.conj().T @ _BASIS @ vecs  # B_k in the eigenbasis of sigma
     pt_b = pt_vecs.conj().T @ _BASIS @ pt_vecs
-    grad = -np.einsum("ij,kji->k", t * f1 * r, b).real - np.einsum("kii,i->k", b, 1 / lam).real
-    grad -= _PT_SIGN * np.einsum("kii,i->k", pt_b, 1 / nu).real
-    grad[0] += 4 * t
-    # Second derivative of -t Tr[rho ln sigma] (Daleckii-Krein) and of both log-dets.
+    g1, g2 = np.einsum("ij,kji->k", f1 * r, b).real, np.einsum("kii,i->k", b, 1 / lam).real
+    g3 = _PT_SIGN * np.einsum("kii,i->k", pt_b, 1 / nu).real
+    # Second derivative of -Tr[rho ln sigma] (Daleckii-Krein) and of both log-dets.
     weighted = np.einsum("imj,lmj->lim", f2 * r.T[:, None, :], b).reshape(16, 16)
     half = b.reshape(16, 16) @ weighted.T  # sum over i, m, j of f2[i,m,j] r[j,i] b_k[i,m] b_l[m,j]
     scaled = (b / np.sqrt(np.outer(lam, lam))).reshape(16, 16)
     pt_scaled = (pt_b / np.sqrt(np.outer(nu, nu))).reshape(16, 16) * _PT_SIGN[:, None]
-    hess = -t * (half + half.T).real + (scaled @ scaled.conj().T).real + (pt_scaled @ pt_scaled.conj().T).real
-    return value, grad / 4, hess / 16
+    return g1, g2, g3, (half + half.T).real, (scaled @ scaled.conj().T).real, (pt_scaled @ pt_scaled.conj().T).real
 
 
 def _ppt_newton(rho: np.ndarray) -> tuple[np.ndarray, int]:
@@ -283,16 +287,24 @@ def _ppt_newton(rho: np.ndarray) -> tuple[np.ndarray, int]:
     one a good start (Boyd & Vandenberghe 2004, section 11.3), so it ends as
     soon as the decrement drops below 0.1; the last stage, whose center is
     the result, ends when the decrement stops shrinking.
+    F_t is affine in t, so a stage starts from the t-free pieces of the point
+    where the last one ended; t is a power of 8, so scaling by it is exact.
+    A line-search trial computes only the value; the gradient and Hessian
+    pieces are built for accepted points alone.
     Steps are least-squares solutions of the diagonally scaled Newton system:
     in late stages the partial-transpose barrier outweighs the rest of the
     Hessian by up to 1e17, which leaves it singular to rounding on symmetric
     inputs such as the singlet, and the minimum-norm step stays finite there.
     """
     s, t, steps = np.eye(1, 16).ravel(), 1.0, 0
+    point = _barrier_point(s, rho)
+    g1, g2, g3, h1, h2, h3 = _barrier_derivatives(*point[3:])
     while steps < _PPT_MAX_STEPS:
-        value, grad, hess = _barrier(s, rho, t)
         last = math.inf
         while steps < _PPT_MAX_STEPS:
+            value, grad, hess = t * point[0] - point[1] - point[2], -t * g1 - g2 - g3, (-t * h1 + h2 + h3) / 16
+            grad[0] += 4 * t
+            grad /= 4
             scale = 1 / np.sqrt(np.diag(hess))
             step = -scale * np.linalg.lstsq(hess * np.outer(scale, scale), scale * grad, rcond=None)[0]
             decrement = -grad @ step
@@ -300,13 +312,14 @@ def _ppt_newton(rho: np.ndarray) -> tuple[np.ndarray, int]:
                 break
             last, length = decrement, 1.0
             while length > 1e-12:
-                trial = _barrier(s + length * step, rho, t)
-                if trial[1] is not None and (decrement < 0.1 or trial[0] <= value - 0.25 * length * decrement):
+                trial = _barrier_point(s + length * step, rho)
+                if trial is not None and (decrement < 0.1 or t * trial[0] - trial[1] - trial[2] <= value - 0.25 * length * decrement):
                     break
                 length /= 2
             else:
                 break
-            s, (value, grad, hess), steps = s + length * step, trial, steps + 1
+            s, point, steps = s + length * step, trial, steps + 1
+            g1, g2, g3, h1, h2, h3 = _barrier_derivatives(*point[3:])
         if 8 / t <= _BARRIER_GAP:
             break
         t *= 8
@@ -369,22 +382,26 @@ def _product_max(g: np.ndarray) -> float:
     coords = np.einsum("kab,ba->k", _BASIS, g).real.reshape(4, 4) / 4
     c, alpha, beta, tt = coords[0, 0], coords[1:, 0], coords[0, 1:], coords[1:, 1:]
     a, frame = np.linalg.eigh(np.outer(beta, beta) - tt.T @ tt)
-    beta_f, alpha_f = frame.T @ beta, frame.T @ tt.T @ alpha
+    beta_f, alpha_f, a = frame.T @ beta, frame.T @ tt.T @ alpha, a.tolist()
 
     def bounds(w: float) -> bool:
         if w < math.hypot(*beta):
             return False
-        bh2 = [float(e * e) for e in w * beta_f + alpha_f]
-        q0 = w * w - alpha @ alpha
-
-        def slope(l: float) -> float:
-            return sum(b2 / (ai + l) ** 2 for b2, ai in zip(bh2, a) if b2) - 1
-
+        bh2 = [e * e for e in (w * beta_f + alpha_f).tolist()]
+        pairs = [(b2, ai) for b2, ai in zip(bh2, a) if b2]  # plain floats: psi' runs ~3000 times a call
         # psi's maximizer lies in (-a_min, -a_min + |bh|], where psi' <= 0.
+        # A zero denominator (hi = -a_min once |bh| is below an ulp of a_min)
+        # gives an infinite term, as in float64 arithmetic.
         lo, hi = -a[0], -a[0] + math.sqrt(sum(bh2))
         while lo < (mid := 0.5 * (lo + hi)) < hi:
-            lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
-        return q0 - hi - sum(b2 / (ai + hi) for b2, ai in zip(bh2, a) if b2) >= 0
+            slope = 0.0
+            for b2, ai in pairs:
+                slope += b2 / x if (x := (ai + mid) ** 2) else math.inf
+            lo, hi = (mid, hi) if slope > 1 else (lo, mid)
+        poles = 0.0
+        for b2, ai in pairs:
+            poles += b2 / x if (x := ai + hi) else math.inf
+        return w * w - alpha @ alpha - hi - poles >= 0
 
     lo, hi = 0.0, math.hypot(*alpha) + math.hypot(*beta) + float(np.linalg.norm(tt))
     while lo < (mid := 0.5 * (lo + hi)) < hi:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from entshape.entanglement import _ln_divided_differences
+from entshape.entanglement import _ln_first_differences
 from entshape.qstate import DensityMatrix, partial_transpose, random_density_matrix
 
 
@@ -39,7 +39,7 @@ def inverse_ree_pair(rng: np.random.Generator, rank: int, fraction: float) -> tu
     phi = np.linalg.eigh(partial_transpose(sigma))[1][:, 0]
     kernel_pt = partial_transpose(np.outer(phi, phi.conj()))
     lam, vecs = np.linalg.eigh(sigma)
-    direction = vecs @ ((vecs.conj().T @ kernel_pt @ vecs) / _ln_divided_differences(lam)[0]) @ vecs.conj().T
+    direction = vecs @ ((vecs.conj().T @ kernel_pt @ vecs) / _ln_first_differences(lam)) @ vecs.conj().T
     inv_sqrt = vecs / np.sqrt(lam)
     mu_max = 1 / np.linalg.eigvalsh(inv_sqrt.conj().T @ direction @ inv_sqrt)[-1]
     rho = sigma - fraction * mu_max * direction

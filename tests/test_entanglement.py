@@ -289,6 +289,66 @@ def test_random_x_states_give_ordered_certified_intervals(pops, fraction, phase)
     assert res.converged
 
 
+def circle_case(seed, c, size, coupling):
+    """G = c + I (x) beta.sigma + coupling (a.sigma) (x) (v.sigma) under a random local unitary.
+
+    alpha = 0 and T = coupling a v^T, so alpha + T n = 0 on the great circle
+    v.n = 0, and on the whole sphere when coupling = 0.
+    """
+    rng = np.random.default_rng(seed)
+    pauli = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+
+    def bloch(vec):
+        return sum(x * p for x, p in zip(vec, pauli))
+
+    beta = rng.normal(size=3)
+    g = c * np.eye(4) + np.kron(np.eye(2), bloch(size * beta / np.linalg.norm(beta)))
+    g = g + coupling * np.kron(bloch(rng.normal(size=3)), bloch(rng.normal(size=3)))
+    u = random_product_unitary(rng)
+    return u @ g @ u.conj().T
+
+
+# G = c + alpha.sigma (x) I + sum_i T_ii sigma_i (x) sigma_i with alpha_y = 0 and
+# beta = 0: q's quadratic part -T^T T is diagonal, its frame exact, and bh_y =
+# (T alpha)_y = 0, so _product_max's b2 skip runs at every w.
+ZERO_BH_COORDS = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).map(
+    lambda v: [dict(zip((0, 4, 12, 5, 10, 15), v)).get(k, 0.0) for k in range(16)]
+)
+
+
+def product_max_reference(g):
+    """The generator form of entanglement._product_max, whose bits the plain-float loops must keep.
+
+    Its float64 terms give inf, with a warning, where a denominator is 0 (the
+    bracket for l collapses to -a_min when |bh| is below an ulp of a_min);
+    the warning is silenced and the value it then returns is the reference.
+    """
+    coords = np.einsum("kab,ba->k", entanglement._BASIS, g).real.reshape(4, 4) / 4
+    c, alpha, beta, tt = coords[0, 0], coords[1:, 0], coords[0, 1:], coords[1:, 1:]
+    a, frame = np.linalg.eigh(np.outer(beta, beta) - tt.T @ tt)
+    beta_f, alpha_f = frame.T @ beta, frame.T @ tt.T @ alpha
+
+    def bounds(w):
+        if w < math.hypot(*beta):
+            return False
+        bh2 = [float(e * e) for e in w * beta_f + alpha_f]
+        q0 = w * w - alpha @ alpha
+
+        def slope(l):
+            return sum(b2 / (ai + l) ** 2 for b2, ai in zip(bh2, a) if b2) - 1
+
+        lo, hi = -a[0], -a[0] + math.sqrt(sum(bh2))
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+        return q0 - hi - sum(b2 / (ai + hi) for b2, ai in zip(bh2, a) if b2) >= 0
+
+    lo, hi = 0.0, math.hypot(*alpha) + math.hypot(*beta) + float(np.linalg.norm(tt))
+    with np.errstate(divide="ignore"):
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (lo, mid) if bounds(mid) else (mid, hi)
+    return c + hi
+
+
 class TestGeneralPathParts:
     @pytest.mark.parametrize(
         "terms, expected",
@@ -316,23 +376,10 @@ class TestGeneralPathParts:
         coupling=st.just(0.0) | st.floats(0.1, 1.0),
     )
     def test_product_max_where_alpha_plus_t_n_vanishes_on_a_circle(self, seed, c, size, coupling):
-        # G = c + I (x) beta.sigma + coupling (a.sigma) (x) (v.sigma) under random
-        # local unitaries: alpha = 0 and T = coupling a v^T, so alpha + T n = 0 on
-        # the great circle v.n = 0, and on the whole sphere when coupling = 0.
         # There q(n) >= 0 no longer implies w - beta.n >= 0, which only the
         # w >= |beta| test enforces. Reference: the top eigenvalue of
         # (I (x) <b|) G (I (x) |b>), maximized over a Fibonacci grid of 20000 b.
-        rng = np.random.default_rng(seed)
-        pauli = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
-
-        def bloch(vec):
-            return sum(x * p for x, p in zip(vec, pauli))
-
-        beta = rng.normal(size=3)
-        g = c * np.eye(4) + np.kron(np.eye(2), bloch(size * beta / np.linalg.norm(beta)))
-        g = g + coupling * np.kron(bloch(rng.normal(size=3)), bloch(rng.normal(size=3)))
-        u = random_product_unitary(rng)
-        g = u @ g @ u.conj().T
+        g = circle_case(seed, c, size, coupling)
         k = np.arange(20000) + 0.5
         theta, phi = np.arccos(1 - k / 10000), math.pi * (1 + math.sqrt(5)) * k
         kets = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=1)
@@ -342,6 +389,16 @@ class TestGeneralPathParts:
         # Certified: never below an attained value; the grid's spacing of about
         # 0.025 puts its smooth maximum within 5e-3 of the true one.
         assert grid_max - 1e-12 <= top <= grid_max + 5e-3
+        assert top == product_max_reference(g)
+
+    @settings(max_examples=90, deadline=None)
+    @given(coords=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16) | ZERO_BH_COORDS)
+    @example(coords=[-0.6016202164977241] + [0.0] * 14 + [1.0])
+    def test_product_max_matches_generator_reference_bit_for_bit(self, coords):
+        # The example leaves only a rounding residue in bh, which collapses the
+        # bracket for l onto the pole at -a_min.
+        g = np.tensordot(np.array(coords), entanglement._BASIS, 1)
+        assert entanglement._product_max(g) == product_max_reference(g)
 
     @pytest.mark.parametrize("a", [0.6, 0.9, 0.93])
     @pytest.mark.parametrize("b", [1e-9, 1e-10])
@@ -353,6 +410,16 @@ class TestGeneralPathParts:
         ansatz = entanglement._product_decomposition(sigma)
         assert len(ansatz.weights) <= 4
         assert np.abs(ansatz.assemble().matrix - sigma).max() < 1e-15
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_log_gradient_is_finite_when_sigma_spans_24_decades(self, seed):
+        # Only first divided differences enter G; the second ones overflow
+        # on eigenvalues (1e-24, 1e-12, 0.3, ~0.7).
+        rng = np.random.default_rng(seed)
+        frame = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        sigma = frame @ np.diag([1e-24, 1e-12, 0.3, 0.7 - 1e-12 - 1e-24]) @ frame.conj().T
+        g = entanglement._log_gradient(random_density_matrix(rng, (2, 2)).matrix, sigma)
+        assert np.isfinite(g).all()
 
 
 def check_general_result(rho, res):
@@ -456,6 +523,22 @@ def test_general_path_step_budget(monkeypatch):
     # 80-113, so a budget of 70 separates the two stop rules. The barrier is
     # called directly: the singlet (a singular Newton system late on) and the
     # rotated pairs now take the X path in er_numeric.
+    # F_t is affine in t, so a stage start reuses the point where the last
+    # stage ended: every evaluation is the first point or a new trial point,
+    # and only the first point and accepted steps build derivatives.
+    points, builds = [], []
+    point, derivatives = entanglement._barrier_point, entanglement._barrier_derivatives
+    monkeypatch.setattr(entanglement, "_barrier_point", lambda s, rho: points.append(s.tobytes()) or point(s, rho))
+    monkeypatch.setattr(entanglement, "_barrier_derivatives", lambda *p: builds.append(p) or derivatives(*p))
+
+    def solve(rho):
+        points.clear()
+        builds.clear()
+        res = _er_ppt_barrier(rho)
+        assert points[0] == np.eye(1, 16).tobytes() and len(set(points)) == len(points)
+        assert len(builds) == 1 + res.iterations
+        return res
+
     rotated = rotated_damped_pairs()
     inputs = list(rotated)
     rng = np.random.default_rng(53)
@@ -465,12 +548,12 @@ def test_general_path_step_budget(monkeypatch):
         inputs.append(DensityMatrix(w * np.outer(psi, psi.conj()) + (1 - w) * tau, (2, 2)))
     for rho in inputs:
         assert not is_x_shaped(rho)
-        res = _er_ppt_barrier(rho)
+        res = solve(rho)
         check_general_result(rho, res)
         assert res.converged and res.iterations <= 70, res
     for psi in (bell_state(2), random_pure_state(rng)):
         rho = DensityMatrix.from_state_vector(psi, (2, 2))
-        res = _er_ppt_barrier(rho)
+        res = solve(rho)
         check_general_result(rho, res)
         assert res.converged
         assert res.lower - CERTIFIED_GAP <= er_pure(psi).value <= res.value + CERTIFIED_GAP
