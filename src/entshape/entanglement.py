@@ -230,6 +230,7 @@ def er_numeric(rho: DensityMatrix) -> ERResult:
 CERTIFIED_GAP = 1e-9  # value - lower, in bits, below which a numeric result reports converged
 _PPT_MAX_STEPS = 500  # Newton steps over all barrier stages
 _BARRIER_GAP = 1e-10  # the last stage has 8 / t below this, in nats
+_LAST_DECREMENT = 1.6e-5  # the last stage stops here: f's error bound decrement / (2t) is then 1e-6 of 8 / t
 _BASIS = np.array([np.kron(p, q) for p in PAULIS for q in PAULIS])
 _BASIS_ROWS = _BASIS.reshape(16, 16)  # np.tensordot(s, _BASIS, 1) is np.dot(s[None], _BASIS_ROWS), reshaped
 _PT_SIGN = np.array([-1.0 if k % 4 == 2 else 1.0 for k in range(16)])  # B_k^{T_B} = +-B_k
@@ -259,7 +260,7 @@ def _barrier_point(s: np.ndarray, rho: np.ndarray) -> tuple | None:
 
 
 def _barrier_derivatives(lam, vecs, nu, pt_vecs, r) -> tuple[np.ndarray, ...]:
-    """t-free pieces of F_t's gradient, 4 grad = -t g1 - g2 - g3 + 4t e_0, and Hessian, 16 hess = -t h1 + h2 + h3."""
+    """t-free pieces of F_t's gradient, 4 grad = -t g1 - g23 + 4t e_0, and Hessian, 16 hess = -t h1 + h23."""
     f1 = _ln_first_differences(lam)
     lo, mid, hi = lam[_TRIPLES]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -270,14 +271,14 @@ def _barrier_derivatives(lam, vecs, nu, pt_vecs, r) -> tuple[np.ndarray, ...]:
     f2 = np.where(hi - lo <= 1e-4 * hi, taylor, split).reshape(4, 4, 4)  # second divided differences
     b = vecs.conj().T @ _BASIS @ vecs  # B_k in the eigenbasis of sigma
     pt_b = pt_vecs.conj().T @ _BASIS @ pt_vecs
-    g1, g2 = np.einsum("ij,kji->k", f1 * r, b).real, np.einsum("kii,i->k", b, 1 / lam).real
-    g3 = _PT_SIGN * np.einsum("kii,i->k", pt_b, 1 / nu).real
+    g1 = np.einsum("ij,kji->k", f1 * r, b).real
+    g23 = np.einsum("kii,i->k", b, 1 / lam).real + _PT_SIGN * np.einsum("kii,i->k", pt_b, 1 / nu).real
     # Second derivative of -Tr[rho ln sigma] (Daleckii-Krein) and of both log-dets.
     weighted = np.einsum("imj,lmj->lim", f2 * r.T[:, None, :], b).reshape(16, 16)
     half = b.reshape(16, 16) @ weighted.T  # sum over i, m, j of f2[i,m,j] r[j,i] b_k[i,m] b_l[m,j]
     scaled = (b / np.sqrt(np.outer(lam, lam))).reshape(16, 16)
     pt_scaled = (pt_b / np.sqrt(np.outer(nu, nu))).reshape(16, 16) * _PT_SIGN[:, None]
-    return g1, g2, g3, (half + half.T).real, (scaled @ scaled.conj().T).real, (pt_scaled @ pt_scaled.conj().T).real
+    return g1, g23, (half + half.T).real, (scaled @ scaled.conj().T + pt_scaled @ pt_scaled.conj().T).real
 
 
 def _cone_fraction(point: tuple, ds: np.ndarray) -> float:
@@ -298,50 +299,50 @@ def _cone_fraction(point: tuple, ds: np.ndarray) -> float:
 def _ppt_newton(rho: np.ndarray) -> tuple[np.ndarray, int]:
     """Barrier stages t = 1, 8, 64, ... until 8/t <= _BARRIER_GAP; returns (sigma, steps).
 
-    While the Newton decrement is at least 0.1 a step must pass an Armijo
-    test; below that F_t (of size t) rounds above the decrease, so every
-    feasible step is taken. An intermediate stage only has to give the next
-    one a good start (Boyd & Vandenberghe 2004, section 11.3), so it ends as
-    soon as the decrement drops below 0.1; the last stage, whose center is
-    the result, ends when the decrement stops shrinking.
+    Scaling sigma by c adds t(c - 1) Tr sigma - (t + 8) ln c to F_t, so every
+    center has Tr sigma = s_0 = 1 + 8/t exactly: the first stage starts at
+    s = 9 e_0. While the Newton decrement is at least 0.1 a step must pass an
+    Armijo test; below that F_t (of size t) rounds above the decrease, so
+    every feasible step is taken. An intermediate stage only has to give the
+    next one a good start (Boyd & Vandenberghe 2004, section 11.3), so it
+    ends once the decrement is below 0.1. The last stage ends at decrement
+    _LAST_DECREMENT, which bounds f's error by decrement/(2t), a millionth of
+    the 8/t gap, or when rounding stops the decrement shrinking first.
     Each new stage starts with a predictor step along the central path: at
     the center s(t) just found, t grad a + grad phi = 0 gives the tangent
     ds/dt = -H_t^{-1} grad a (a the t-weighted term, phi the barriers), and
     s(8t) ~ s(t) + (7t/8) ds/dt is linear in 1/t, along which the path is
     nearly straight. The step is cut to 90% of the distance to either cone's
-    boundary (_cone_fraction). A Newton step from the old center would leave
-    the cone and be halved about three times per stage. ``steps`` counts
-    accepted Newton steps and predictor steps: 21-41, median 30-33, on
-    random, pure and inverse-REE oracle states, against 16-69, median 42-45,
-    without the predictor.
+    boundary (_cone_fraction). ``steps`` counts accepted Newton and predictor
+    steps: 14-26, median 23, on random, pure-plus-full-rank and inverse-REE
+    oracle states, and 25-35, median 29, on pure states.
     F_t is affine in t, so its pieces at a point are computed once, free of t
     (t is a power of 8, so scaling by it is exact). A line-search trial
-    computes only the value; the gradient and Hessian pieces are built for
-    accepted points alone.
+    computes only the value; derivatives are built for accepted points alone.
     Steps are minimum-norm solutions of the diagonally scaled Newton system,
-    from one eigendecomposition that the stage's last step and the tangent
-    share; eigenvalues below lstsq's cutoff (16 eps max|eigenvalue|) are
-    dropped. In late stages the partial-transpose barrier outweighs the rest
-    of the Hessian by up to 1e17, which leaves it singular to rounding on
-    symmetric inputs such as the singlet, and the minimum-norm step stays
-    finite there.
+    applied as -scale V (inv (V^T (scale grad))) from one eigendecomposition
+    that the stage's last step and the tangent share; eigenvalues below
+    lstsq's cutoff (16 eps max|eigenvalue|) are dropped. In late stages the
+    partial-transpose barrier outweighs the rest of the Hessian by up to
+    1e17, which leaves it singular to rounding on symmetric inputs such as
+    the singlet, and the minimum-norm step stays finite there.
     """
-    s, t, steps = np.eye(1, 16).ravel(), 1.0, 0
+    s, t, steps = 9 * np.eye(1, 16).ravel(), 1.0, 0
     point = _barrier_point(s, rho)
-    g1, g2, g3, h1, h2, h3 = _barrier_derivatives(*point[3:])
+    g1, g23, h1, h23 = _barrier_derivatives(*point[3:])
     while True:
-        last = math.inf
+        last, final = math.inf, 8 / t <= _BARRIER_GAP
         while steps < _PPT_MAX_STEPS:
-            value, grad, hess = t * point[0] - point[1] - point[2], -t * g1 - g2 - g3, (-t * h1 + h2 + h3) / 16
+            value, grad, hess = t * point[0] - point[1] - point[2], -t * g1 - g23, (-t * h1 + h23) / 16
             grad[0] += 4 * t
             grad /= 4
             scale = 1 / np.sqrt(np.diag(hess))
             evals, evecs = np.linalg.eigh(hess * np.outer(scale, scale))
             kept = np.abs(evals) > 16 * np.finfo(float).eps * np.abs(evals).max()
-            pinv = (scale[:, None] * evecs * np.divide(1.0, evals, out=np.zeros(16), where=kept)) @ (evecs.T * scale)
-            step = -pinv @ grad
+            inv = np.divide(1.0, evals, out=np.zeros(16), where=kept)
+            step = -scale * (evecs @ (inv * (evecs.T @ (scale * grad))))
             decrement = -grad @ step
-            if not decrement > 0 or (decrement < 0.1 and (decrement >= last or 8 / t > _BARRIER_GAP)):
+            if not decrement > 0 or (decrement < 0.1 and (not final or decrement <= _LAST_DECREMENT or decrement >= last)):
                 break
             last, length = decrement, 1.0
             while length > 1e-12:
@@ -352,19 +353,19 @@ def _ppt_newton(rho: np.ndarray) -> tuple[np.ndarray, int]:
             else:
                 break
             s, point, steps = s + length * step, trial, steps + 1
-            g1, g2, g3, h1, h2, h3 = _barrier_derivatives(*point[3:])
+            g1, g23, h1, h23 = _barrier_derivatives(*point[3:])
         else:
             break  # step budget spent
-        if 8 / t <= _BARRIER_GAP:
+        if final:
             break
         grad_a = -g1 / 4
         grad_a[0] += 1
-        ds = -(7 * t / 8) * (pinv @ grad_a)
+        ds = -(7 * t / 8) * scale * (evecs @ (inv * (evecs.T @ (scale * grad_a))))
         ds *= _cone_fraction(point, ds)
         trial = _barrier_point(s + ds, rho)
         if trial is not None:
             s, point, steps = s + ds, trial, steps + 1
-            g1, g2, g3, h1, h2, h3 = _barrier_derivatives(*point[3:])
+            g1, g23, h1, h23 = _barrier_derivatives(*point[3:])
         t *= 8
     sigma = np.tensordot(s, _BASIS, 1) / 4
     return sigma / s[0], steps
@@ -739,9 +740,12 @@ def _er_x_state(rho: DensityMatrix) -> ERResult:
 # the 3 cyclic relabelings of the axes then puts the s axis on z, and one of the
 # 4 sign flips of det 1 on B (diag(1, -1, -1) is the I (x) X relabel) gives
 # T_xx = -T_yy. For r != s that finds every state a local unitary away from an
-# X state; the rest keep the general path. Dropping what is left outside the X
-# pattern is the local-phase twirl of the reduction notes above, which never
-# raises E_R, so the twirled state's lower bound holds for the input.
+# X state. For r = s (two-sided damping at gamma = gamma_A = 1/2, say) T's
+# singular vectors are arbitrary, but T + a b^T has the X-frame form
+# diag(r, -r, s + a_z b_z), which splits the tie when a_z b_z != 0, so its SVD
+# is tried second. The rest keep the general path. Dropping what is left
+# outside the X pattern is the local-phase twirl of the reduction notes above,
+# which never raises E_R, so the twirled state's lower bound holds for the input.
 
 
 def _on_pauli_index(rotation: np.ndarray) -> np.ndarray:
@@ -769,15 +773,18 @@ def _er_x_frame(rho: DensityMatrix) -> ERResult | None:
     most the input's.
     """
     coords = np.einsum("kab,ba->k", _BASIS, rho.matrix).real.reshape(4, 4)
-    u, _, vt = np.linalg.svd(coords[1:, 1:])
-    u[:, 2] *= np.linalg.det(u)  # into SO(3): the sign moves onto the third singular value
-    vt[2] *= np.linalg.det(vt)
-    rot_a = _RELABELS[:, 0] @ _on_pauli_index(u.T)
-    rot_b = _RELABELS[:, 1] @ _on_pauli_index(vt)
-    # Every candidate at once: rotated coordinates, then rotated states.
-    states = np.tensordot(rot_a @ coords @ rot_b.transpose(0, 2, 1), _BASIS.reshape(4, 4, 4, 4), 2) / 4
-    found = np.flatnonzero(np.abs(states[:, ~_X_PATTERN]).max(axis=1) <= X_STATE_TOL)
-    if not found.size:
+    for t in (coords[1:, 1:], coords[1:, 1:] + np.outer(coords[1:, 0], coords[0, 1:])):
+        u, _, vt = np.linalg.svd(t)
+        u[:, 2] *= np.linalg.det(u)  # into SO(3): the sign moves onto the third singular value
+        vt[2] *= np.linalg.det(vt)
+        rot_a = _RELABELS[:, 0] @ _on_pauli_index(u.T)
+        rot_b = _RELABELS[:, 1] @ _on_pauli_index(vt)
+        # Every candidate at once: rotated coordinates, then rotated states.
+        states = np.tensordot(rot_a @ coords @ rot_b.transpose(0, 2, 1), _BASIS.reshape(4, 4, 4, 4), 2) / 4
+        found = np.flatnonzero(np.abs(states[:, ~_X_PATTERN]).max(axis=1) <= X_STATE_TOL)
+        if found.size:
+            break
+    else:
         return None
     k = found[0]
     rot_a, rot_b, m = rot_a[k, 1:, 1:], rot_b[k, 1:, 1:], np.where(_X_PATTERN, states[k], 0)

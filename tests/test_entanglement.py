@@ -529,15 +529,39 @@ def test_inverse_ree_oracle_interval_holds_exact_value(seed, rank, fraction):
     assert abs(res.value - exact) <= 1e-10
 
 
+def test_barrier_centers_its_final_iterate():
+    # On a separable full-rank input the optimum is interior, value is 0 and
+    # lower is clipped at 0, so a badly centered final iterate shows only in
+    # the raw Frank-Wolfe gap (top - 1) / ln 2 at the certificate. It is at
+    # most 1.5e-11 bits on these states, with or without the exact start and
+    # the last stage's decrement threshold. Intermediate stages that end at
+    # decrement 1.0 instead of 0.1 raise the PPT states' worst gap to
+    # 2.8e-11; a last stage that ends at 0.1 raises the entangled ones' to
+    # 2.6e-11.
+    rng = np.random.default_rng(7)
+    solved = {True: 0, False: 0}  # by PPT or not, 12 each
+    while min(solved.values()) < 12:
+        rho = random_density_matrix(rng, (2, 2))
+        ppt = negativity(rho) == 0.0
+        if solved[ppt] == 12:
+            continue
+        solved[ppt] += 1
+        res = _er_ppt_barrier(rho)
+        check_general_result(rho, res)
+        top = entanglement._product_max(entanglement._log_gradient(rho.matrix, res.certificate.assemble().matrix))
+        assert (top - 1) / math.log(2) <= 2e-11
+
+
 def test_general_path_step_budget(monkeypatch):
-    # Each stage opens with a predictor step along the central path and
-    # stops at decrement 0.1, which keeps these solves at 28-35 steps
-    # (predictor steps included) and 34-46 evaluations. Starting each stage
-    # from the last center instead takes 37-50 Newton steps, and the first
-    # step of nearly every stage leaves the cone and is halved about three
-    # times: 85-103 evaluations. The barrier is called directly: the singlet
-    # (a singular Newton system late on) and the rotated pairs take the X
-    # path in er_numeric.
+    # Every center has Tr sigma = s_0 = 1 + 8/t, so the first stage starts
+    # at s = 9 e_0, and the last stage ends at decrement 1.6e-5. With the
+    # predictor step that opens each stage, these solves take 23-26 steps
+    # (predictor steps included; 24 and 28 on the singlet and the pure
+    # state) and 29-39 evaluations. The budgets fail a solver that starts at
+    # s = e_0 and runs the last stage until the decrement stops shrinking:
+    # 28-33 steps (30 and 35) and 34-46 evaluations. The barrier is called
+    # directly: the singlet (a singular Newton system late on) and the
+    # rotated pairs take the X path in er_numeric.
     # F_t is affine in t, so a stage start reuses the point where the last
     # stage ended: every evaluation is the first point or a new trial point,
     # and only the first point, accepted Newton steps and predictor steps
@@ -551,9 +575,11 @@ def test_general_path_step_budget(monkeypatch):
         points.clear()
         builds.clear()
         res = _er_ppt_barrier(rho)
-        assert points[0] == np.eye(1, 16).tobytes() and len(set(points)) == len(points)
+        assert points[0] == (9 * np.eye(1, 16)).tobytes() and len(set(points)) == len(points)
         assert len(builds) == 1 + res.iterations
-        assert len(points) <= 60
+        assert len(points) <= 42
+        gap = 8 / 8.0**13  # 8/t at the last stage
+        assert abs(np.frombuffer(points[-1])[0] - 1 - gap) <= 1e-3 * gap
         return res
 
     rotated = rotated_damped_pairs()
@@ -567,7 +593,7 @@ def test_general_path_step_budget(monkeypatch):
         assert not is_x_shaped(rho)
         res = solve(rho)
         check_general_result(rho, res)
-        assert res.converged and res.iterations <= 45, res
+        assert res.converged and res.iterations <= 28, res
     for psi in (bell_state(2), random_pure_state(rng)):
         rho = DensityMatrix.from_state_vector(psi, (2, 2))
         res = solve(rho)
@@ -632,6 +658,7 @@ I_X = np.kron(np.eye(2), np.array([[0, 1], [1, 0]]))
     gamma_a=st.floats(0.0, 0.999999),
     seed=st.none() | st.integers(0, 2**32 - 1),
 )
+@example(source="two_sided", gamma=0.5, gamma_a=0.5, seed=0)  # T's singular values tie at 1/2
 def test_local_unitary_away_from_x_state_takes_x_path(source, gamma, gamma_a, seed):
     # E_R is invariant under U (x) V, so er_numeric must solve U (x) V rho U^dag (x) V^dag
     # on the X path whenever rho is an X state the X path certifies. The psi_type
