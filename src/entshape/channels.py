@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -88,23 +87,21 @@ def amplitude_damping(gamma: float) -> QuantumChannel:
     return QuantumChannel([k0, k1])
 
 
-def _embed(op: np.ndarray, target: int, dims: Sequence[int]) -> np.ndarray:
-    factors = [op if i == target else np.eye(d, dtype=complex) for i, d in enumerate(dims)]
-    return reduce(np.kron, factors)
-
-
 def apply(channel: QuantumChannel, rho: DensityMatrix, target: int = 0) -> DensityMatrix:
-    """Apply the channel to one subsystem: sum_i (I (x) K_i) rho (I (x) K_i)^dag."""
+    """Apply the channel to one subsystem: sum_i (I (x) K_i) rho (I (x) K_i)^dag.
+
+    The stacked Kraus operators are contracted on the target axis alone.
+    """
     if target < 0 or target >= len(rho.dims):
         raise ValueError(f"target {target} invalid for dims {rho.dims}")
     if rho.dims[target] != channel.dim:
         raise ValueError(
             f"channel dimension {channel.dim} does not match subsystem {target} of dims {rho.dims}"
         )
-    out = np.zeros_like(rho.matrix)
-    for k in channel.kraus_ops:
-        big = _embed(k, target, rho.dims)
-        out += big @ rho.matrix @ big.conj().T
+    ks, d = np.stack(channel.kraus_ops), channel.dim
+    left, right = math.prod(rho.dims[:target]), math.prod(rho.dims[target + 1 :])
+    block = rho.matrix.reshape(left, d, right, left, d, right)
+    out = np.einsum("kij,ajbcle,kml->aibcme", ks, block, ks.conj()).reshape(rho.matrix.shape)
     return DensityMatrix(out, rho.dims)
 
 
@@ -181,18 +178,12 @@ def pauli_twirl(channel: QuantumChannel) -> QuantumChannel:
     return QuantumChannel(ops)
 
 
-def eb_threshold_depolarizing(tol: float = 1e-10) -> float:
-    """Depolarizing strength where the channel turns entanglement-breaking.
+def eb_threshold_depolarizing() -> float:
+    """Depolarizing strength where the channel turns entanglement-breaking: exactly 1/2.
 
-    Located by bisection on the minimal PT eigenvalue of the Choi state.
+    The Choi state has Bell weights (1 - p, p/3, p/3, p/3), and a Bell-diagonal
+    state's partial transpose has eigenvalues 1/2 - c_k. On [0, 3/4] the Phi+
+    weight 1 - p is the largest, so the Choi state is PPT (separable, for two
+    qubits) iff 1 - p <= 1/2, i.e. p >= 1/2.
     """
-    lo, hi = 0.0, 0.75
-    if is_entanglement_breaking(depolarizing(lo)):
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if is_entanglement_breaking(depolarizing(mid)):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return 0.5

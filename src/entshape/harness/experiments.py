@@ -151,19 +151,25 @@ def er_pair(state: BellDiagonalState) -> dict:
 def calibrate_p_prime(target_er: float, bridge: str, geometry: str, p_raw: float) -> dict:
     """Effective noise parameter whose per-pair entanglement equals the target.
 
-    Solved by bisection on the documented bridge: the claim-side reading
-    evaluates the published fidelity-form at its bridge parameter
-    F = 1 - p' per transit, the first-principles reading uses the exact
-    Bell-diagonal closed form on the channel output. ``feasible`` records
-    whether the value is actually reachable by compression from the raw
-    parameter (p' <= p); infeasible calibrations are kept and flagged,
-    not hidden.
+    Solved by bisection on the documented bridge, with no state built per
+    step. The claim-side reading evaluates the published fidelity form,
+    unclamped, at its bridge fidelity F = 1 - p' per transit. The
+    first-principles reading evaluates the exact Bell-diagonal closed form
+    on the oracle pair's Bell weights, which algebra fixes: the one-sided
+    pair is ``werner_from_channel(p')``, and two transits compose the shrink
+    factor 1 - 4p'/3 into (1 - 4p'/3)^2, the one-sided pair at
+    2p' - 4p'^2/3. ``feasible`` records whether the value is actually
+    reachable by compression from the raw parameter (p' <= p); infeasible
+    calibrations are kept and flagged, not hidden.
     """
+    if bridge not in ("paper", "oracle"):
+        raise ConfigError(f"unknown convention {bridge!r}")
 
     def per_pair_er(p_prime: float) -> float:
         if bridge == "paper":
             return er_bell_fidelity(paper_bridge_fidelity(geometry, p_prime), clamp=False)
-        return er_bell_diagonal(input_pair_state(bridge, geometry, p_prime)).value
+        one_sided = p_prime if geometry == "one" else 2 * p_prime - 4 * p_prime**2 / 3
+        return er_bell_diagonal(werner_from_channel(one_sided)).value
 
     lo, hi = 1e-9, 0.75 - 1e-9
     if not (per_pair_er(hi) <= target_er <= per_pair_er(lo)):
@@ -274,20 +280,21 @@ def _static_claim_entries() -> list[dict]:
             reproduced=hr >= 0,
         )
     )
-    threshold = eb_threshold_depolarizing()
     entries.append(
         discrepancy_entry(
             claim("eb_threshold"),
-            threshold,
-            "bisection on the minimal partial-transpose eigenvalue of the Choi state",
+            eb_threshold_depolarizing(),
+            "closed form: the Choi state's partial transpose has eigenvalues 1/2 - c_k, "
+            "so it is PPT (separable for two qubits) iff its Phi+ weight 1 - p is at "
+            "most 1/2, i.e. from p = 1/2",
         )
     )
     entries.append(
         discrepancy_entry(
             claim("dd_limit"),
-            0.2 * dd_compression(1.0, 1e12),
-            "compression formula evaluated at pulse frequency 1e12 from p = 0.2: "
-            "the formula's high-frequency limit is p' -> p, not p' -> 0",
+            0.2 * dd_compression(1.0, math.inf),
+            "exact high-frequency limit of the compression formula from p = 0.2: "
+            "exp(-gamma_sd / f_dd) -> 1 as f_dd -> infinity, so p' -> p, not p' -> 0",
         )
     )
     mix = werner(0.8)

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -114,6 +115,33 @@ class TestApply:
         with pytest.raises(ValueError):
             apply(depolarizing(0.1), bell_pair(), target=2)
 
+    def test_matches_kron_embedding(self):
+        # Reference definition: sum_i E(K_i) rho E(K_i)^dag, where E(K) puts K
+        # on the target in a Kronecker product with identities elsewhere.
+        def embedded(channel, rho, target):
+            out = np.zeros_like(rho.matrix)
+            for k in channel.kraus_ops:
+                big = reduce(np.kron, [k if i == target else np.eye(d) for i, d in enumerate(rho.dims)])
+                out += big @ rho.matrix @ big.conj().T
+            return out
+
+        rng = np.random.default_rng(96)
+        for dims in [(2, 2), (2, 2, 2), (2, 3)]:
+            for _ in range(8):
+                rho = random_density_matrix(rng, dims)
+                strength = float(rng.uniform(0, 1))
+                channels = [
+                    depolarizing(0.75 * strength),
+                    amplitude_damping(strength),
+                    pauli_twirl(amplitude_damping(strength)),
+                    dd_effective_pulse_average(amplitude_damping(strength)),
+                ]
+                for target in (i for i, d in enumerate(dims) if d == 2):
+                    for channel in channels:
+                        out = apply(channel, rho, target=target)
+                        assert out.dims == rho.dims
+                        assert np.abs(out.matrix - embedded(channel, rho, target)).max() <= 1e-15
+
     def test_pre_rotation_is_local_unitary_on_kept_qubit(self):
         # (I x U)|Phi+> = (U^T x I)|Phi+>, and the channel acts only on B, so
         # rotating the transmitted qubit first equals a unitary on A after
@@ -170,8 +198,7 @@ class TestChoiAndEB:
     def test_breaking_threshold_is_half(self):
         # The claimed non-breaking domain extends to 3/4; the PT criterion
         # on the Choi state puts the threshold at 1/2.
-        threshold = eb_threshold_depolarizing()
-        assert threshold == pytest.approx(0.5, abs=1e-8)
+        assert eb_threshold_depolarizing() == 0.5
         assert is_entanglement_breaking(depolarizing(0.55))
         assert not is_entanglement_breaking(depolarizing(0.45))
 

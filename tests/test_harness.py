@@ -5,11 +5,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entshape import channels
 from entshape.entanglement import er_bell_diagonal
+from entshape.harness import experiments
 from entshape.harness.claims import CLAIMS, claim
 from entshape.harness.config import (
     CONVENTIONS,
@@ -31,7 +34,7 @@ from entshape.harness.experiments import (
     run,
 )
 from entshape.harness.report import discrepancy_entry, render_report
-from entshape.qstate import werner_from_channel
+from entshape.qstate import DensityMatrix, werner_from_channel
 
 
 def cli(*args):
@@ -217,6 +220,46 @@ class TestConventions:
         one = input_pair_state("oracle", "one", 0.2)
         two = input_pair_state("oracle", "two", 0.2)
         assert two.fidelity < one.fidelity
+
+    @pytest.mark.parametrize("geometry", ["one", "two"])
+    def test_oracle_pair_bell_weights_closed_form(self, geometry):
+        # The calibration bisects these closed forms instead of the Kraus
+        # output: two transits compose the shrink factor 1 - 4p/3 into
+        # (1 - 4p/3)^2, the one-sided pair at 2p - 4p^2/3.
+        for p in np.linspace(0, 0.75, 31):
+            one_sided = p if geometry == "one" else 2 * p - 4 * p**2 / 3
+            state = input_pair_state("oracle", geometry, p)
+            expected = werner_from_channel(one_sided).coefficients
+            assert max(abs(a - b) for a, b in zip(state.coefficients, expected)) <= 1e-15
+
+    def test_calibration_builds_no_state(self, monkeypatch):
+        counts = {"apply": 0, "density_matrix": 0}
+        real_apply, real_init = channels.apply, DensityMatrix.__init__
+
+        def counted_apply(*args, **kwargs):
+            counts["apply"] += 1
+            return real_apply(*args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            counts["density_matrix"] += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(channels, "apply", counted_apply)
+        monkeypatch.setattr(experiments, "apply", counted_apply)
+        monkeypatch.setattr(DensityMatrix, "__init__", counted_init)
+        expected = {
+            ("paper", "one"): 0.502178519387724,
+            ("paper", "two"): 0.29443534625643564,
+            ("oracle", "one"): 0.251089259693862,
+            ("oracle", "two"): 0.13829496059816254,
+        }
+        for (bridge, geometry), p_prime in expected.items():
+            calib = calibrate_p_prime(0.187, bridge, geometry, 0.2)
+            assert abs(calib["p_prime"] - p_prime) <= 1e-15
+        assert counts == {"apply": 0, "density_matrix": 0}
+        # The counters see what a Kraus-path pair builds: one apply per transit.
+        input_pair_state("oracle", "two", 0.2)
+        assert counts["apply"] == 2 and counts["density_matrix"] > 0
 
     def test_calibration_known_solutions(self):
         # Bisection targets cross-checked against direct formula inversions.
