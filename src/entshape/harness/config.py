@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..channels import amplitude_damping, depolarizing, transmit_bell_pair
-from ..qstate import bell_pair, werner, werner_from_channel
+from ..qstate import bell_pair, werner
 
 EXPERIMENTS = ("table1", "table2", "flow", "sweep", "er", "selfcheck")
 CONVENTIONS = ("paper", "oracle", "both")
@@ -21,7 +21,6 @@ SIDES = ("one", "two", "both")
 # er_state family -> (closed domain of er_param, the state it names); bell takes no parameter.
 ER_FAMILIES = {
     "werner": ((-1 / 3, 1.0), lambda x: werner(x).to_density_matrix()),
-    "werner_channel": ((0.0, 0.75), lambda x: werner_from_channel(x).to_density_matrix()),
     "depolarizing": ((0.0, 0.75), lambda x: transmit_bell_pair(depolarizing(x))),
     "amplitude_damping": ((0.0, 1.0), lambda x: transmit_bell_pair(amplitude_damping(x))),
     "bell": ((-math.inf, math.inf), lambda _: bell_pair()),

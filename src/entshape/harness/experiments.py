@@ -54,7 +54,6 @@ from ..qstate import (
     binary_entropy,
     purity_and_mixedness,
     werner,
-    werner_from_channel,
 )
 from .claims import claim
 from .config import CONVENTIONS, DEFAULT_P_PRIME, ER_FAMILIES, SIDES, ConfigError, ExperimentConfig, readings
@@ -120,24 +119,18 @@ def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> N
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def paper_bridge_fidelity(geometry: str, p: float) -> float:
-    """Claim-side bridge F = 1 - p per transit, composed multiplicatively for two."""
-    return (1 - p) if geometry == "one" else (1 - p) ** 2
-
-
 def input_pair_state(bridge: str, geometry: str, p: float) -> BellDiagonalState:
-    """Per-pair post-channel state under one documented convention.
+    """Per-pair post-channel state: Kraus application of a depolarizing channel.
 
-    * ``oracle``: exact Kraus application of the depolarizing channel to the
-      transmitted qubit(s) of a Bell pair.
-    * ``paper``: the F-mixture Werner state at the bridge fidelity
-      :func:`paper_bridge_fidelity`.
+    Both conventions build the pair on the one Kraus path and differ only in
+    how they read p. ``oracle`` applies ``depolarizing(p)``. ``paper`` reads p
+    as the map rho -> (1 - p) rho + p I/2, which is ``depolarizing(3p/4)``:
+    each transit shrinks the Werner parameter to 1 - p.
     """
-    if bridge == "oracle":
-        return bell_projection(transmit_bell_pair(depolarizing(p), geometry))
-    if bridge == "paper":
-        return werner(paper_bridge_fidelity(geometry, p))
-    raise ConfigError(f"unknown convention {bridge!r}")
+    if bridge not in ("paper", "oracle"):
+        raise ConfigError(f"unknown convention {bridge!r}")
+    q = 0.75 * p if bridge == "paper" else p
+    return bell_projection(transmit_bell_pair(depolarizing(q), geometry))
 
 
 def er_pair(state: BellDiagonalState) -> dict:
@@ -151,25 +144,23 @@ def er_pair(state: BellDiagonalState) -> dict:
 def calibrate_p_prime(target_er: float, bridge: str, geometry: str, p_raw: float) -> dict:
     """Effective noise parameter whose per-pair entanglement equals the target.
 
-    Solved by bisection on the documented bridge, with no state built per
-    step. The claim-side reading evaluates the published fidelity form,
-    unclamped, at its bridge fidelity F = 1 - p' per transit. The
-    first-principles reading evaluates the exact Bell-diagonal closed form
-    on the oracle pair's Bell weights, which algebra fixes: the one-sided
-    pair is ``werner_from_channel(p')``, and two transits compose the shrink
-    factor 1 - 4p'/3 into (1 - 4p'/3)^2, the one-sided pair at
-    2p' - 4p'^2/3. ``feasible`` records whether the value is actually
-    reachable by compression from the raw parameter (p' <= p); infeasible
-    calibrations are kept and flagged, not hidden.
+    Bisects a closed form, so no state is built per step. The pair of
+    :func:`input_pair_state` is ``werner(shrink)``, with shrink 1 - p'
+    (``paper``) or 1 - 4p'/3 (``oracle``) per transit, squared for two.
+    ``oracle`` reads it by the Bell-diagonal closed form, ``paper`` by the
+    published fidelity form, unclamped, at F = shrink. ``feasible`` records
+    whether compression from the raw parameter reaches p' (p' <= p);
+    infeasible calibrations are kept and flagged, not hidden.
     """
     if bridge not in ("paper", "oracle"):
         raise ConfigError(f"unknown convention {bridge!r}")
+    transits = 1 if geometry == "one" else 2
 
     def per_pair_er(p_prime: float) -> float:
+        shrink = (1 - p_prime if bridge == "paper" else 1 - 4 * p_prime / 3) ** transits
         if bridge == "paper":
-            return er_bell_fidelity(paper_bridge_fidelity(geometry, p_prime), clamp=False)
-        one_sided = p_prime if geometry == "one" else 2 * p_prime - 4 * p_prime**2 / 3
-        return er_bell_diagonal(werner_from_channel(one_sided)).value
+            return er_bell_fidelity(shrink, clamp=False)
+        return er_bell_diagonal(werner(shrink)).value
 
     lo, hi = 1e-9, 0.75 - 1e-9
     if not (per_pair_er(hi) <= target_er <= per_pair_er(lo)):
@@ -234,8 +225,8 @@ def _pes_row(cfg: ExperimentConfig, bridge: str, geometry: str, p_prime: float, 
     The shaped pair is the input pair at p'. When 0 < p' <= p, the decoupling
     compression p * exp(-gamma_sd / f_dd) reaches p' at gamma_sd / f_dd =
     ln(p/p'), the ratio the row reports; otherwise the row says that no
-    compression reaches p'. Both bridges report these fields, though the
-    claim-side one is a parameter identification with no channel behind it.
+    compression reaches p'. Both conventions report these fields, each for
+    its own reading of p.
     """
     dd_reachable = 0 < p_prime <= cfg.p
     dd_ratio = math.log(cfg.p / p_prime) if dd_reachable else None
@@ -268,7 +259,7 @@ def _static_claim_entries() -> list[dict]:
             claim("er_werner_083"),
             1 - h2,
             "fidelity-form closed form at F = 0.83 with correct arithmetic",
-            extra={"oracle_reading": er_bell_diagonal(werner_from_channel(0.17)).value},
+            extra={"oracle_reading": er_bell_diagonal(input_pair_state("oracle", "one", 0.17)).value},
         )
     )
     hr = hashing_rate(0.2)
@@ -297,14 +288,14 @@ def _static_claim_entries() -> list[dict]:
             "exp(-gamma_sd / f_dd) -> 1 as f_dd -> infinity, so p' -> p, not p' -> 0",
         )
     )
-    mix = werner(0.8)
-    kraus = werner_from_channel(0.2)
+    oracle = input_pair_state("oracle", "one", 0.2)
+    paper = input_pair_state("paper", "one", 0.2)
     entries.append(
         discrepancy_entry(
             claim("fidelity_bridge"),
-            kraus.fidelity,
+            oracle.fidelity,
             "Bell fidelity of the exact channel output at p = 0.2 is 1 - p = 0.8, but "
-            f"the F-mixture state at F = 0.8 has fidelity {mix.fidelity:.4f}; the two "
+            f"the F-mixture state at F = 0.8 has fidelity {paper.fidelity:.4f}; the two "
             "parameterizations agree only at p = 0",
             reproduced=False,
         )
@@ -356,7 +347,14 @@ def run_table1(cfg: ExperimentConfig) -> ExperimentResult:
             shaped = []
             if calib["p_prime"] is not None:
                 row = _pes_row(cfg, bridge, geometry, calib["p_prime"], "pre_channel_shaping_calibrated")
-                shaped.append({**row, "calibrated_to": target, "calibration_feasible_from_p": calib["feasible"]})
+                shaped.append(
+                    {
+                        **row,
+                        "calibrated_to": target,
+                        "calibration_achieved_er": calib["achieved_er"],
+                        "calibration_feasible_from_p": calib["feasible"],
+                    }
+                )
             shaped.append(_pes_row(cfg, bridge, geometry, pinned, "pre_channel_shaping"))
             result.rows += [post[bridge, geometry], *shaped]
             pes += shaped
@@ -631,7 +629,7 @@ def run_selfcheck(cfg: ExperimentConfig) -> ExperimentResult:
     detail = f"worst excursion beyond [lower, value] {worst:.2e} bits (slack {CERTIFIED_GAP:.0e})"
     checks.append(("closed_vs_numeric_werner_grid", converged and worst <= CERTIFIED_GAP, detail))
 
-    state = werner_from_channel(cfg.p)
+    state = input_pair_state("oracle", "one", cfg.p)
     exact = dejmps_recursive(cfg.n_pairs, state, cfg.rounds)
     indices = parallel_branch_indices(state, cfg.rounds, cfg.n_pairs, SELFCHECK_RUNS, cfg.master_seed)
     mc = dejmps_monte_carlo(exact, indices)

@@ -16,13 +16,13 @@ Conventions used throughout the package:
   Index 0 is the distillation target; "fidelity" always means overlap with
   it unless stated otherwise.
 
-Two Werner-family constructors are provided because the two common
-parameterizations genuinely differ and the reproduction harness needs both:
-``werner(F)`` is the direct mixture F|Phi+><Phi+| + (1-F)I/4, while
-``werner_from_channel(p)`` is the state a one-sided depolarizing channel of
-strength p actually produces on half a Bell pair (Bell weights
-(1-p, p/3, p/3, p/3)). Identifying the two via F = 1-p is wrong except at
-p = 0; see the harness discrepancy report.
+``werner(F)`` is the one Werner-family constructor: the direct mixture
+F|Phi+><Phi+| + (1-F)I/4. Depolarized pairs are built by Kraus application
+(``channels.transmit_bell_pair``), not here. One transit of
+``depolarizing(p)`` gives Bell weights (1-p, p/3, p/3, p/3), which is
+``werner(1 - 4p/3)``; identifying it with ``werner(1 - p)`` is wrong except
+at p = 0. The map rho -> (1-p) rho + p I/2 is ``depolarizing(3p/4)`` and
+does give ``werner(1 - p)``; the harness calls that reading ``paper``.
 """
 
 from __future__ import annotations
@@ -195,18 +195,6 @@ def werner(fidelity_param: float) -> BellDiagonalState:
         raise ValueError(f"Werner mixing parameter {F} outside [-1/3, 1]")
     rest = (1 - F) / 4
     return BellDiagonalState(((1 + 3 * F) / 4, rest, rest, rest))
-
-
-def werner_from_channel(p: float) -> BellDiagonalState:
-    """Output of a one-sided depolarizing channel on half a Bell pair.
-
-    Bell weights (1-p, p/3, p/3, p/3); equals ``werner(1 - 4p/3)``, not
-    ``werner(1-p)``.
-    """
-    p = float(p)
-    if p < 0 or p > 0.75 + 1e-12:
-        raise ValueError(f"depolarizing parameter {p} outside [0, 3/4]")
-    return BellDiagonalState((1 - p, p / 3, p / 3, p / 3))
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:

@@ -25,6 +25,7 @@ from entshape.harness.config import build_config
 from entshape.harness.experiments import run
 from entshape.protocols import dejmps_monte_carlo, dejmps_recursive, sample_branch_indices
 from entshape.qstate import (
+    BellDiagonalState,
     DensityMatrix,
     bell_pair,
     bell_state,
@@ -33,7 +34,6 @@ from entshape.qstate import (
     relative_entropy,
     von_neumann_entropy,
     werner,
-    werner_from_channel,
 )
 from ree_oracle import inverse_ree_pair
 
@@ -149,7 +149,7 @@ def test_criterion_6_monte_carlo_matches_exact_tree():
     details = []
     ok = True
     for fidelity in (0.7, 0.8, 0.9):
-        state = werner_from_channel(1 - fidelity)
+        state = BellDiagonalState((fidelity, *3 * [(1 - fidelity) / 3]))
         exact = dejmps_recursive(4, state, 2)
         mc = dejmps_monte_carlo(exact, sample_branch_indices(exact.probabilities, 606060, 10_000))
         ps_gap = abs(mc.success_mean - exact.success_probability)

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entshape import entanglement
-from entshape.channels import amplitude_damping, apply, depolarizing
+from entshape.channels import amplitude_damping, apply, depolarizing, transmit_bell_pair
 from entshape.entanglement import (
     CERTIFIED_GAP,
     SeparableAnsatz,
@@ -29,7 +29,6 @@ from entshape.qstate import (
     random_pure_state,
     relative_entropy,
     werner,
-    werner_from_channel,
 )
 from ree_oracle import inverse_ree_pair
 
@@ -65,12 +64,12 @@ class TestBellDiagonalClosedForm:
 
     def test_separable_werner_regime(self):
         assert er_bell_diagonal(werner(1 / 3)).value == 0.0
-        assert er_bell_diagonal(werner_from_channel(0.5)).value == 0.0
+        assert er_bell_diagonal(BellDiagonalState((0.5, 1 / 6, 1 / 6, 1 / 6))).value == 0.0
 
     def test_fidelity_convention_value(self):
         # Bell weight 0.83: 1 - H2(0.83); the 0.544 figure needs the
         # (1+F)/2 argument AND the wrong H2 arithmetic.
-        state = werner_from_channel(0.17)
+        state = BellDiagonalState((0.83, 0.17 / 3, 0.17 / 3, 0.17 / 3))
         assert er_bell_diagonal(state).value == pytest.approx(1 - binary_entropy(0.83), abs=1e-12)
 
     def test_fidelity_form_bridge(self):
@@ -117,7 +116,7 @@ class TestNegativity:
 
     def test_channel_werner_sweep(self):
         for p in np.linspace(0.0, 0.75, 11):
-            value = negativity(werner_from_channel(p).to_density_matrix())
+            value = negativity(transmit_bell_pair(depolarizing(p)))
             assert value == pytest.approx(max(0.0, 0.5 - p), abs=1e-12)
 
 

@@ -34,7 +34,7 @@ from entshape.harness.experiments import (
     run,
 )
 from entshape.harness.report import discrepancy_entry, render_report
-from entshape.qstate import DensityMatrix, werner_from_channel
+from entshape.qstate import BellDiagonalState, DensityMatrix, werner
 
 
 def cli(*args):
@@ -91,7 +91,7 @@ class TestConfig:
 
     def test_er_param_checked_against_state_family(self):
         for state, bad in [
-            ("werner", 5.0), ("werner", -0.34), ("werner_channel", 0.76),
+            ("werner", 5.0), ("werner", -0.34), ("depolarizing", 0.76),
             ("depolarizing", -0.1), ("amplitude_damping", 1.01),
         ]:
             with pytest.raises(ConfigError, match="er_param"):
@@ -222,14 +222,17 @@ class TestConventions:
         assert two.fidelity < one.fidelity
 
     @pytest.mark.parametrize("geometry", ["one", "two"])
-    def test_oracle_pair_bell_weights_closed_form(self, geometry):
+    @pytest.mark.parametrize("bridge", ["oracle", "paper"])
+    def test_pair_bell_weights_closed_form(self, bridge, geometry):
         # The calibration bisects these closed forms instead of the Kraus
-        # output: two transits compose the shrink factor 1 - 4p/3 into
-        # (1 - 4p/3)^2, the one-sided pair at 2p - 4p^2/3.
+        # output: each transit shrinks the Werner parameter by 1 - 4p/3
+        # (oracle) or 1 - p (paper, the Kraus path at 3p/4), and two transits
+        # square the factor; werner((1 - p)^k) is the paper's direct mixture.
+        k = 1 if geometry == "one" else 2
         for p in np.linspace(0, 0.75, 31):
-            one_sided = p if geometry == "one" else 2 * p - 4 * p**2 / 3
-            state = input_pair_state("oracle", geometry, p)
-            expected = werner_from_channel(one_sided).coefficients
+            shrink = (1 - 4 * p / 3 if bridge == "oracle" else 1 - p) ** k
+            state = input_pair_state(bridge, geometry, p)
+            expected = werner(shrink).coefficients
             assert max(abs(a - b) for a, b in zip(state.coefficients, expected)) <= 1e-15
 
     def test_calibration_builds_no_state(self, monkeypatch):
@@ -339,8 +342,21 @@ class TestExperiments:
         assert cfg.p == 0.2 and row["p_prime"] == 0.17
         assert row["dd_noise_density_over_frequency"] == math.log(cfg.p / 0.17)
         assert row["er_per_pair_oracle"] == pytest.approx(
-            er_bell_diagonal(werner_from_channel(0.17)).value, abs=1e-9
+            er_bell_diagonal(BellDiagonalState((0.83, 0.17 / 3, 0.17 / 3, 0.17 / 3))).value, abs=1e-9
         )
+
+    def test_calibrated_rows_report_achieved_er(self, tmp_path):
+        cfg = build_config("table1", {"convention": "both", "out_dir": str(tmp_path)})
+        rows = [r for r in run(cfg).rows if r["protocol"] == "pre_channel_shaping_calibrated"]
+        assert len(rows) == 4
+        for row in rows:
+            calib = calibrate_p_prime(0.187, row["convention"], row["sides"], cfg.p)
+            assert row["calibration_achieved_er"] == calib["achieved_er"]
+            assert row["calibration_achieved_er"] == pytest.approx(0.187, abs=1e-12)
+            if row["convention"] == "paper":
+                # The unclamped fidelity form at F = 1 - p' is neither column.
+                assert row["er_per_pair_oracle"] == pytest.approx(0.0444, abs=1e-4)
+                assert row["er_per_pair_fidelity_form"] == pytest.approx(0.3021, abs=1e-4)
 
     def test_table2_damping_gap_carries_interval(self, tmp_path):
         cfg = build_config(
@@ -516,16 +532,20 @@ class TestCLI:
         assert "er_numeric" in proc.stdout
 
     @pytest.mark.parametrize(
-        "state, param", [("werner", "5"), ("amplitude_damping", "nan")]
+        "state, param",
+        # werner_channel is gone: the depolarizing family names the same state.
+        [("werner", "5"), ("amplitude_damping", "nan"), ("werner_channel", "0.2")],
     )
     def test_bad_er_param_exits_two(self, tmp_path, state, param):
+        out = tmp_path / "out"
         proc = cli(
             "er", "--convention", "oracle", "--state", state,
-            "--param", param, "--out", str(tmp_path),
+            "--param", param, "--out", str(out),
         )
         assert proc.returncode == 2, proc.stderr
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_runs_flag_is_gone(self, tmp_path):
         out = tmp_path / "out"

@@ -24,7 +24,6 @@ from entshape.qstate import (
     bell_pair,
     bell_projection,
     werner,
-    werner_from_channel,
 )
 
 
@@ -36,6 +35,10 @@ def _cnot(control, target, n):
         np.kron, [p1 if i == control else (X if i == target else I2) for i in range(n)]
     )
     return lo + hi
+
+
+# One-sided depolarizing output at p = 0.2: Bell weights (1 - p, p/3, p/3, p/3).
+DEPOLARIZED_02 = BellDiagonalState((0.8, 0.2 / 3, 0.2 / 3, 0.2 / 3))
 
 
 def recurrence_operators():
@@ -119,7 +122,7 @@ class TestBranchMap:
         assert out.selected_state.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_improves_fidelity_above_threshold(self):
-        state = werner_from_channel(0.2)  # fidelity 0.8
+        state = DEPOLARIZED_02  # fidelity 0.8
         out = dejmps_branch_map(state, state)
         assert out.selected_state.fidelity > state.fidelity
         assert 0 < out.success_probability < 1
@@ -147,7 +150,7 @@ class TestBranchMap:
     def test_equal_outcome_states_coincide(self):
         # The 00 and 11 projections give the same kept-pair state, which is
         # why success is a single branch.
-        state = werner_from_channel(0.3).to_density_matrix().matrix
+        state = BellDiagonalState((0.7, 0.1, 0.1, 0.1)).to_density_matrix().matrix
         rho = np.kron(state, state)
         u, projectors = recurrence_operators()
         rho = u @ rho @ u.conj().T
@@ -160,7 +163,7 @@ class TestBranchMap:
         assert np.abs(kept[0] - kept[1]).max() < 1e-12
 
     def test_werner_failure_branch_is_flat(self):
-        state = werner_from_channel(0.2)
+        state = DEPOLARIZED_02
         out = dejmps_branch_map(state, state)
         assert np.abs(np.array(out.states[0].coefficients) - 0.25).max() < 1e-10
 
@@ -188,7 +191,7 @@ def test_branch_map_matches_simulation(q, r):
 
 class TestRecursive:
     def test_zero_rounds(self):
-        state = werner_from_channel(0.2)
+        state = DEPOLARIZED_02
         out = dejmps_recursive(4, state, 0)
         assert out.success_probability == 1.0
         assert out.selected_state.coefficients == pytest.approx(state.coefficients)
@@ -201,7 +204,7 @@ class TestRecursive:
 
     def test_two_round_success_probability(self):
         # n1^2 * n2 with the per-round step from the reference simulation.
-        state = werner_from_channel(0.2)
+        state = DEPOLARIZED_02
         n1, s1, _, _ = simulate_recurrence(state.coefficients, state.coefficients)
         n2, s2, _, _ = simulate_recurrence(s1, s1)
         out = dejmps_recursive(4, state, 2)
@@ -213,7 +216,7 @@ class TestRecursive:
         # p = 1/5: per-round success 173/225 and 22285/29929, so the
         # two-round pipeline succeeds with probability 4457/10125 and ends at
         # fidelity 21029/22285.
-        out = dejmps_recursive(4, werner_from_channel(0.2), 2)
+        out = dejmps_recursive(4, DEPOLARIZED_02, 2)
         assert out.success_probability == pytest.approx(4457 / 10125, abs=1e-12)
         assert out.selected_state.fidelity == pytest.approx(21029 / 22285, abs=1e-12)
         # Claim-side bridge, both qubits transiting: 207661/625000.
@@ -240,14 +243,14 @@ class TestRecursive:
             assert er == pytest.approx(er_bell_diagonal(state).value, abs=1e-10)
 
     def test_global_state_is_branch_mixture(self):
-        out = dejmps_recursive(4, werner_from_channel(0.2), 2)
+        out = dejmps_recursive(4, DEPOLARIZED_02, 2)
         mix = sum(p * s.to_density_matrix().matrix for p, s in zip(out.probabilities, out.states))
         assert np.abs(mix - out.global_state.to_density_matrix().matrix).max() < 1e-10
 
     def test_convexity_bound_on_global(self):
         # Global entanglement cannot exceed the branch average, hence also
         # p_s alone when every branch value is at most one bit.
-        out = dejmps_recursive(4, werner_from_channel(0.2), 2)
+        out = dejmps_recursive(4, DEPOLARIZED_02, 2)
         global_er = er_bell_diagonal(out.global_state).value
         branch_avg = sum(
             p * er_bell_diagonal(s).value for p, s in zip(out.probabilities, out.states)
@@ -256,7 +259,7 @@ class TestRecursive:
         assert global_er <= out.success_probability + 1e-9
 
     def test_placeholder_trash_variant(self):
-        out = dejmps_recursive(4, werner_from_channel(0.2), 2)
+        out = dejmps_recursive(4, DEPOLARIZED_02, 2)
         flat = out.global_with_placeholder_trash()
         p_fail = 1 - out.success_probability
         expected = out.success_probability * np.array(out.selected_state.coefficients) + p_fail / 4
@@ -294,7 +297,7 @@ def _monte_carlo(state, run_count, seed):
 
 class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self):
-        state = werner_from_channel(0.2)
+        state = DEPOLARIZED_02
         _, a = _monte_carlo(state, 5000, 99)
         _, b = _monte_carlo(state, 5000, 99)
         assert a.success_mean == b.success_mean
@@ -303,7 +306,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("fidelity", [0.7, 0.8, 0.9])
     def test_branch_frequencies_match_exact_tree(self, fidelity):
         # Indices 0..rounds-1 are first-failure rounds, index rounds is success.
-        state = werner_from_channel(1 - fidelity)
+        state = BellDiagonalState((fidelity, *3 * [(1 - fidelity) / 3]))
         exact = dejmps_recursive(4, state, 2)
         expected = np.array(exact.probabilities)
         assert len(expected) == 3
@@ -314,7 +317,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("fidelity", [0.7, 0.8, 0.9])
     def test_agrees_with_exact_tree(self, fidelity):
-        state = werner_from_channel(1 - fidelity)
+        state = BellDiagonalState((fidelity, *3 * [(1 - fidelity) / 3]))
         assert state.fidelity == pytest.approx(fidelity, abs=1e-12)
         exact, mc = _monte_carlo(state, 10_000, 2024)
         assert abs(mc.success_mean - exact.success_probability) <= 3 * mc.success_se

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entshape.channels import depolarizing, transmit_bell_pair
 from entshape.qstate import (
     BellDiagonalState,
     DensityMatrix,
@@ -19,7 +20,6 @@ from entshape.qstate import (
     tensor,
     von_neumann_entropy,
     werner,
-    werner_from_channel,
 )
 from ree_oracle import inverse_ree_pair
 
@@ -136,7 +136,7 @@ class TestPartialTranspose:
         # Bisection on the minimal PT eigenvalue of the channel-output family:
         # the Bell weight (1 - p) crosses 1/2 at p = 1/2.
         def min_eig(p):
-            rho = werner_from_channel(p).to_density_matrix()
+            rho = BellDiagonalState((1 - p, p / 3, p / 3, p / 3)).to_density_matrix()
             return np.linalg.eigvalsh(partial_transpose(rho.matrix)).min()
 
         lo, hi = 0.0, 0.75
@@ -193,7 +193,7 @@ class TestEntropies:
 
     def test_channel_werner_spectrum(self):
         # Spectrum (0.83, 0.17/3 x3); compare against a direct entropy sum.
-        rho = werner_from_channel(0.17).to_density_matrix()
+        rho = BellDiagonalState((0.83, 0.17 / 3, 0.17 / 3, 0.17 / 3)).to_density_matrix()
         spectrum = [0.83] + [0.17 / 3] * 3
         expected = -sum(x * math.log2(x) for x in spectrum)
         assert abs(von_neumann_entropy(rho) - expected) < 1e-12
@@ -320,15 +320,14 @@ class TestBellDiagonal:
         # The two conventions agree only at p = 0: fidelity 1 - p from the
         # channel vs (1 + 3F)/4 from the mixture at F = 1 - p.
         p = 0.2
-        assert werner_from_channel(p).fidelity == pytest.approx(0.8, abs=1e-12)
+        channel = bell_projection(transmit_bell_pair(depolarizing(p)))
+        assert channel.fidelity == pytest.approx(0.8, abs=1e-12)
         assert werner(1 - p).fidelity == pytest.approx(0.85, abs=1e-12)
-        assert werner(1 - 4 * p / 3).coefficients == pytest.approx(
-            werner_from_channel(p).coefficients, abs=1e-12
-        )
+        assert werner(1 - 4 * p / 3).coefficients == pytest.approx(channel.coefficients, abs=1e-12)
 
     def test_bell_fidelity_helper(self):
         assert bell_projection(bell_pair()).fidelity == pytest.approx(1.0, abs=1e-12)
-        assert bell_projection(werner_from_channel(0.2).to_density_matrix()).fidelity == pytest.approx(0.8, abs=1e-12)
+        assert bell_projection(transmit_bell_pair(depolarizing(0.2))).fidelity == pytest.approx(0.8, abs=1e-12)
 
 
 def test_bell_states_orthonormal():
