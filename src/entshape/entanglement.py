@@ -13,11 +13,13 @@ certificate with an exact product-state maximum, and ``converged`` means
 value - lower <= CERTIFIED_GAP (1e-9 bits). It has two paths:
 
 * X-state reduction, for inputs whose only coherence is between |00> and
-  |11> (every damped, dephased or depolarized Bell pair the harness builds),
-  and for inputs a local unitary away from such a state (pre-rotated damped
-  pairs, pure states), which are rotated into that form first. The optimum
-  is itself an X state, so the search shrinks to four numbers and is solved
-  by Newton steps; the certificate has at most 5 atoms.
+  |11>. An exact X state (every damped, dephased or depolarized Bell pair
+  the harness builds) is solved directly. An input within 1e-12 of that
+  pattern is twirled onto it in its own frame, and an input a local unitary
+  away from an X state (pre-rotated damped pairs, pure states) is rotated
+  into that form and twirled. The optimum is itself an X state, so the
+  search shrinks to four numbers and is solved by Newton steps; the
+  certificate has at most 5 atoms.
 * PPT barrier, for every other input and for an X state whose reduced
   interval does not close: separable equals PPT for two qubits, so Newton
   steps on log-det barriers solve the convex program directly, and the
@@ -44,6 +46,7 @@ from .qstate import (
     partial_trace,
     partial_transpose,
     relative_entropy,
+    von_neumann_entropy,
 )
 
 
@@ -111,12 +114,8 @@ class ERResult:
 
 def er_pure(psi, dims: tuple[int, int] = (2, 2)) -> ERResult:
     """Entanglement entropy of a normalized bipartite pure state."""
-    rho = DensityMatrix.from_state_vector(psi, dims)
-    reduced = partial_trace(rho, keep=[0])
-    vals = np.linalg.eigvalsh(reduced.matrix)
-    vals = vals[vals > 1e-12]
-    value = float(-np.sum(vals * np.log2(vals)))
-    return ERResult(max(value, 0.0))
+    reduced = partial_trace(DensityMatrix.from_state_vector(psi, dims), keep=[0])
+    return ERResult(max(von_neumann_entropy(reduced), 0.0))
 
 
 def _bell_diagonal_minimizer(state: BellDiagonalState) -> SeparableAnsatz:
@@ -201,19 +200,18 @@ def _log_gradient(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 def er_numeric(rho: DensityMatrix) -> ERResult:
     """Certified interval [lower, value] for the relative entropy of entanglement of a qubit pair.
 
-    X-shaped inputs (no entry above 1e-12 outside the diagonal and the
-    |00><11| coherence) take the reduced solver, and so do inputs that a
-    local unitary takes to X shape (see the front-end notes below); every
-    other input, and one whose interval the reduced solver cannot close,
-    takes the PPT barrier solver. ``converged`` means value - lower <=
-    CERTIFIED_GAP bits; a wider interval is reported, never hidden.
+    An exact X state (every entry outside the diagonal and the |00><11|
+    coherence is 0) takes the reduced solver directly. Any other input goes
+    to the front end (see its notes below), which twirls a near-X input in
+    its own frame, or one a local unitary takes near X shape in that frame,
+    and solves the twirled state on the reduced path. Every other input, and
+    one whose interval the reduced solver cannot close, takes the PPT
+    barrier solver. ``converged`` means value - lower <= CERTIFIED_GAP bits;
+    a wider interval is reported, never hidden.
     """
     if rho.dims != (2, 2):
         raise ValueError(f"numeric minimization expects a qubit pair, got dims {rho.dims}")
-    if np.abs(rho.matrix[~_X_PATTERN]).max() <= X_STATE_TOL:
-        result = _er_x_state(rho)
-    else:
-        result = _er_x_frame(rho)
+    result = _er_x_frame(rho) if rho.matrix[~_X_PATTERN].any() else _er_x_state(rho)
     if result is not None and result.converged:
         return result
     return _er_ppt_barrier(rho)
@@ -489,7 +487,7 @@ def _er_ppt_barrier(rho: DensityMatrix) -> ERResult:
 # with R and S the {|00>, |11>} blocks of rho and sigma. Its minimum over the
 # cone is reached at Tr sigma = 1, so no normalization constraint is needed.
 
-X_STATE_TOL = 1e-12  # largest entry outside the X pattern that takes the reduced path
+X_STATE_TOL = 1e-12  # largest entry outside the X pattern, in some frame, that the front end twirls away
 _X_PATTERN = np.eye(4, dtype=bool)
 _X_PATTERN[0, 3] = _X_PATTERN[3, 0] = True
 _X_MAX_STEPS = 100
@@ -689,7 +687,7 @@ def _x_certificate(a: float, b: float, c: float, d: float, x: float, phase: floa
 
 
 def _er_x_state(rho: DensityMatrix) -> ERResult:
-    """Certified interval for an X-shaped state; see the reduction notes above."""
+    """Certified interval for an exact X state (0 outside the X pattern); see the reduction notes above."""
     m = rho.matrix
     pops = np.clip(np.diag(m).real, 0.0, None)
     # The clamp only matters within the PSD tolerance of DensityMatrix.
@@ -719,15 +717,7 @@ def _er_x_state(rho: DensityMatrix) -> ERResult:
     ratios = [(p / f if f else math.inf) if p else 0.0 for p, f in ((pops[1], b), (pops[2], c))]
     # A subnormal eigenvalue of sigma overflows G; no finite bound exists then.
     entries = (g[0, 0], *ratios, g[1, 1], abs(g[0, 1]))
-    top = _x_product_max(*entries) if np.isfinite(entries).all() else math.inf
-    # Entries of rho outside the X pattern (each at most X_STATE_TOL) move G
-    # by at most their Frobenius norm over the smallest eigenvalue of sigma.
-    residue = float(np.linalg.norm(m[~_X_PATTERN]))
-    if residue:
-        smallest = min(b, c, e1, e2)
-        top += residue / smallest if smallest > 0 else math.inf
-    if not top < math.inf:  # also NaN: keep only E_R >= 0
-        top = math.inf
+    top = _x_product_max(*entries) if np.isfinite(entries).all() else math.inf  # inf keeps only E_R >= 0
     return _frank_wolfe_interval(rho, certificate, certificate.assemble(), steps, top)
 
 
@@ -743,9 +733,11 @@ def _er_x_state(rho: DensityMatrix) -> ERResult:
 # X state. For r = s (two-sided damping at gamma = gamma_A = 1/2, say) T's
 # singular vectors are arbitrary, but T + a b^T has the X-frame form
 # diag(r, -r, s + a_z b_z), which splits the tie when a_z b_z != 0, so its SVD
-# is tried second. The rest keep the general path. Dropping what is left
-# outside the X pattern is the local-phase twirl of the reduction notes above,
-# which never raises E_R, so the twirled state's lower bound holds for the input.
+# is tried second. Before both, the input's own frame is tried, on the input
+# matrix itself. The rest keep the general path. Dropping what is left outside
+# the X pattern (at most X_STATE_TOL per entry) is the local-phase twirl of the
+# reduction notes above, which never raises E_R, so the twirled state's lower
+# bound holds for the input.
 
 
 def _on_pauli_index(rotation: np.ndarray) -> np.ndarray:
@@ -765,15 +757,23 @@ _RELABELS = np.array(
 
 
 def _er_x_frame(rho: DensityMatrix) -> ERResult | None:
-    """X-path interval for a state a local unitary away from an X state; None if no frame is found.
+    """X-path interval for a state near an X state in its own frame or after a local unitary; None if no frame is found.
 
-    The X state is solved in its own frame and its certificate's Bloch vectors
-    are rotated back, so ``value`` is D(rho || certificate) on the input
-    itself; ``lower`` carries over, since the twirled X state's E_R is at
-    most the input's.
+    The twirled X state is solved in its frame and its certificate's Bloch
+    vectors are rotated back, so ``value`` is D(rho || certificate) on the
+    input itself; ``lower`` carries over, since the twirled X state's E_R is
+    at most the input's.
     """
     coords = np.einsum("kab,ba->k", _BASIS, rho.matrix).real.reshape(4, 4)
-    for t in (coords[1:, 1:], coords[1:, 1:] + np.outer(coords[1:, 0], coords[0, 1:])):
+    # The input's own frame first, on the input matrix itself: its exact zeros stay zero.
+    rot_a = rot_b = np.eye(4)[None]
+    states = rho.matrix[None]
+    for t in (coords[1:, 1:], coords[1:, 1:] + np.outer(coords[1:, 0], coords[0, 1:]), None):
+        found = np.flatnonzero(np.abs(states[:, ~_X_PATTERN]).max(axis=1) <= X_STATE_TOL)
+        if found.size:
+            break
+        if t is None:
+            return None
         u, _, vt = np.linalg.svd(t)
         u[:, 2] *= np.linalg.det(u)  # into SO(3): the sign moves onto the third singular value
         vt[2] *= np.linalg.det(vt)
@@ -781,11 +781,6 @@ def _er_x_frame(rho: DensityMatrix) -> ERResult | None:
         rot_b = _RELABELS[:, 1] @ _on_pauli_index(vt)
         # Every candidate at once: rotated coordinates, then rotated states.
         states = np.tensordot(rot_a @ coords @ rot_b.transpose(0, 2, 1), _BASIS.reshape(4, 4, 4, 4), 2) / 4
-        found = np.flatnonzero(np.abs(states[:, ~_X_PATTERN]).max(axis=1) <= X_STATE_TOL)
-        if found.size:
-            break
-    else:
-        return None
     k = found[0]
     rot_a, rot_b, m = rot_a[k, 1:, 1:], rot_b[k, 1:, 1:], np.where(_X_PATTERN, states[k], 0)
     result = _er_x_state(DensityMatrix(m, (2, 2)))

@@ -273,16 +273,48 @@ class TestXStatePath:
         assert res.lower - CERTIFIED_GAP <= 1 - binary_entropy(0.65) <= res.value + CERTIFIED_GAP
         check_general_result(rho, res)
 
+    def test_near_x_states_are_twirled_in_their_own_frame(self, monkeypatch):
+        # Rounding-level entries outside the X pattern are twirled away on the
+        # input matrix, so the interval stays as tight as on the exact X state.
+        def plus(rho, i, j, eps):
+            m = rho.matrix.copy()
+            m[i, j] += eps
+            m[j, i] += eps
+            return DensityMatrix(m, (2, 2))
+
+        ry = np.array([[math.cos(math.pi), -math.sin(math.pi)], [math.sin(math.pi), math.cos(math.pi)]])
+        u = np.kron(ry, np.eye(2))  # R_y(2 pi) on A: -I up to 1.2e-16
+        rotated = DensityMatrix(u @ bell_pair(0).matrix @ u.T, (2, 2))
+        damped = apply(amplitude_damping(1e-3), apply(amplitude_damping(1e-3), rotated, target=1), target=0)
+        monkeypatch.setattr(entanglement, "_er_ppt_barrier", no_general_path)
+        cases = [
+            (plus(damped_pair(1e-9), 1, 2, 1e-16), er_numeric(damped_pair(1e-9)).value),
+            (plus(bell_pair(0), 0, 1, 1e-13), 1.0),
+            (damped, er_numeric(damped_pair(1e-3, 1e-3)).value),
+        ]
+        for rho, exact in cases:
+            assert 0 < np.abs(rho.matrix[~entanglement._X_PATTERN]).max() <= entanglement.X_STATE_TOL
+            res = er_numeric(rho)
+            check_x_result(rho, res)
+            assert res.converged and res.value - res.lower <= 1e-12
+            assert abs(res.value - exact) <= 1e-12
+
 
 @settings(max_examples=60, deadline=None)
 @given(
     pops=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda p: sum(p) > 1e-3),
     fraction=st.floats(0.0, 1.0),
     phase=st.floats(0.0, 2 * math.pi),
+    residue=st.just(0.0) | st.floats(0.0, 1e-13),
+    direction=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=5, max_size=5),
 )
-def test_random_x_states_give_ordered_certified_intervals(pops, fraction, phase):
+def test_random_x_states_give_ordered_certified_intervals(pops, fraction, phase, residue, direction):
     p = np.array(pops) / sum(pops)
     rho = x_state(p, fraction * math.sqrt(p[0] * p[3]) * np.exp(1j * phase))
+    # A Hermitian residue on the entries outside the X pattern, at most 1e-13 each.
+    e = np.zeros((4, 4), dtype=complex)
+    e[[0, 0, 1, 1, 2], [1, 2, 2, 3, 3]] = residue * np.array(direction)
+    rho = DensityMatrix(rho.matrix + e + e.conj().T, (2, 2))
     res = er_numeric(rho)
     check_x_result(rho, res)
     assert res.converged
