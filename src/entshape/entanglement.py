@@ -56,16 +56,8 @@ def _ket(theta: float, phi: float) -> np.ndarray:
 
 def _angles(ket: np.ndarray) -> tuple[float, float]:
     a, b = ket
-    # strip global phase so the first amplitude is real and non-negative
-    if abs(a) > 1e-12:
-        b = b * (a.conjugate() / abs(a))
-        a = abs(a)
-    else:
-        a = 0.0
-        b = abs(b)
-    theta = 2 * math.atan2(abs(b), float(np.real(a)))
-    phi = float(np.angle(b)) if abs(b) > 1e-12 else 0.0
-    return theta, phi
+    # phi is the relative phase, so the global phase drops out
+    return 2 * math.atan2(abs(b), abs(a)), float(np.angle(b * a.conjugate()))
 
 
 @dataclass(frozen=True, eq=False)

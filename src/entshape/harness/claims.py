@@ -2,11 +2,9 @@
 
 Each claim records the asserted number (with its stated spread when one was
 given) and a short locus description. Experiments compare computed values
-against these entries; anything outside tolerance becomes a discrepancy
-entry, never a silent adjustment. The tolerance rule for table rows is
-|computed - claimed| <= 3 x claimed std; claims without a stated spread use
-a 1% relative window, which the known-bad arithmetic entries miss by more
-than an order of magnitude.
+against these entries, and ``report`` decides each status by one rule;
+anything outside tolerance becomes a discrepancy entry, never a silent
+adjustment.
 """
 
 from __future__ import annotations

@@ -74,8 +74,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} = {value} is not finite")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; pick from {EXPERIMENTS}")
-        needs_convention = self.experiment in ("table1", "table2", "flow", "sweep", "er")
-        if needs_convention and self.convention not in CONVENTIONS:
+        # table2 and er take no convention; one given to them must still be valid.
+        needs_convention = self.experiment in ("table1", "flow", "sweep")
+        if (needs_convention or self.convention) and self.convention not in CONVENTIONS:
             raise ConfigError(
                 f"convention must be given explicitly as one of {CONVENTIONS} "
                 f"for experiment {self.experiment!r}"

@@ -262,13 +262,11 @@ def _static_claim_entries() -> list[dict]:
             extra={"oracle_reading": er_bell_diagonal(input_pair_state("oracle", "one", 0.17)).value},
         )
     )
-    hr = hashing_rate(0.2)
     entries.append(
         discrepancy_entry(
             claim("hashing_rate_p02"),
-            hr,
+            hashing_rate(0.2),
             "direct evaluation; negative, so not achievable as stated",
-            reproduced=hr >= 0,
         )
     )
     entries.append(
@@ -297,7 +295,6 @@ def _static_claim_entries() -> list[dict]:
             "Bell fidelity of the exact channel output at p = 0.2 is 1 - p = 0.8, but "
             f"the F-mixture state at F = 0.8 has fidelity {paper.fidelity:.4f}; the two "
             "parameterizations agree only at p = 0",
-            reproduced=False,
         )
     )
     # Pulse averaging over the full Pauli set erases the input instead of
@@ -314,7 +311,6 @@ def _static_claim_entries() -> list[dict]:
             "transmitted side is zero: the displayed average destroys the state rather "
             "than compressing p; the conjugated twirl leaves a Pauli-covariant channel "
             "unchanged, so neither reading yields p' < p",
-            reproduced=False,
         )
     )
     entries.append(
@@ -323,7 +319,6 @@ def _static_claim_entries() -> list[dict]:
             er_production_rate(0.8, 0.2),
             "closed-form rate at F = 0.8, p = 0.2 is negative; the derived formula and "
             "the stated sign disagree, and the implemented invariant follows the formula",
-            reproduced=False,
         )
     )
     return entries
@@ -405,7 +400,6 @@ def run_table1(cfg: ExperimentConfig) -> ExperimentResult:
             f"per-pair entanglement reached by the feasible calibration; calibrated "
             f"effective parameters per convention: {summary}; conventions whose "
             f"calibration exceeds p = {cfg.p} cannot be reached by compression",
-            reproduced=bool(feasible),
         )
     )
 

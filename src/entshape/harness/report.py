@@ -11,14 +11,15 @@ import math
 
 from .claims import Claim
 
-# Claims with a stated spread reproduce within 3 standard deviations. Bare
-# numbers are quoted to at most two or three significant figures, so they
-# get a 1% relative window; every known-bad arithmetic entry misses it by
-# well over an order of magnitude.
+# Bare numbers are quoted to at most two or three significant figures, so
+# they get a 1% relative window; every known-bad arithmetic entry misses it
+# by well over an order of magnitude.
 RELATIVE_WINDOW = 1e-2
 
 
 def _is_reproduced(claimed: Claim, computed: float) -> bool:
+    """The one verdict rule: within 3 stated spreads, else within 1% of a bare
+    claimed number; a claim with no number or a non-finite value is discrepant."""
     if claimed.value is None or computed is None or not math.isfinite(computed):
         return False
     if claimed.std is not None:
@@ -31,12 +32,9 @@ def discrepancy_entry(
     claimed: Claim,
     computed: float | None,
     method: str,
-    reproduced: bool | None = None,
     extra: dict | None = None,
 ) -> dict:
-    """One claim-vs-computation record; ``reproduced`` overrides the rule."""
-    if reproduced is None:
-        reproduced = _is_reproduced(claimed, computed)
+    """One claim-vs-computation record, its status decided by ``_is_reproduced``."""
     entry = {
         "claim": claimed.key,
         "statement": claimed.statement,
@@ -45,7 +43,7 @@ def discrepancy_entry(
         "claimed_std": claimed.std,
         "computed_value": computed,
         "method": method,
-        "status": "reproduced" if reproduced else "discrepant",
+        "status": "reproduced" if _is_reproduced(claimed, computed) else "discrepant",
     }
     if claimed.value is not None and computed is not None and math.isfinite(computed):
         entry["absolute_gap"] = abs(computed - claimed.value)

@@ -805,3 +805,12 @@ class TestSeparableAnsatz:
         assert abs(np.trace(sigma.matrix).real - 1) < 1e-12
         expected = np.diag([0.5, 0, 0, 0.5]).astype(complex)
         assert np.abs(sigma.matrix - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("modulus", [0.0, 1e-300, 1e-13, 1e-8, 0.5, 1.0])
+    def test_bloch_angles_round_trip(self, modulus):
+        # A global phase and a relative phase of 2.1 on every ket; no amplitude
+        # is too small to keep.
+        v = np.exp(0.7j) * np.array([modulus, math.sqrt(1 - modulus**2) * np.exp(2.1j)])
+        ket = entanglement._ket(*entanglement._angles(v))
+        overlap = np.vdot(ket, v)
+        assert np.abs(ket * overlap / abs(overlap) - v).max() <= 1e-15

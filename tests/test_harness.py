@@ -33,7 +33,7 @@ from entshape.harness.experiments import (
     input_pair_state,
     run,
 )
-from entshape.harness.report import discrepancy_entry, render_report
+from entshape.harness.report import _is_reproduced, discrepancy_entry, render_report
 from entshape.qstate import BellDiagonalState, DensityMatrix, werner
 
 
@@ -85,9 +85,15 @@ class TestConfig:
             build_config("bogus", {})
 
     def test_convention_must_be_explicit(self):
-        with pytest.raises(ConfigError, match="explicitly"):
-            build_config("table1", {})
-        build_config("selfcheck", {})  # selfcheck needs no convention
+        for experiment in ("table1", "flow", "sweep"):
+            with pytest.raises(ConfigError, match="explicitly"):
+                build_config(experiment, {})
+        # Neither table2 nor er reads a convention, and selfcheck needs none;
+        # one given to them must still be valid.
+        for experiment in ("table2", "er", "selfcheck"):
+            build_config(experiment, {})
+            with pytest.raises(ConfigError, match="explicitly"):
+                build_config(experiment, {"convention": "claim"})
 
     def test_er_param_checked_against_state_family(self):
         for state, bad in [
@@ -368,14 +374,19 @@ class TestExperiments:
         entry = next(e for e in result.discrepancies if e["claim"] == "ad_delta")
         assert entry["interval"] == row["delta_er_interval"]
 
-    def test_every_claim_check_has_single_status(self, tmp_path):
+    @pytest.mark.parametrize(
+        "experiment, convention, sides",
+        # No calibration is feasible under paper/one, so pes_calibration is decided on NaN.
+        [("table1", "both", "both"), ("table1", "paper", "one"), ("table2", "oracle", "both")],
+    )
+    def test_every_claim_check_has_single_status(self, tmp_path, experiment, convention, sides):
         cfg = build_config(
-            "table1",
-            {"convention": "both", "out_dir": str(tmp_path)},
+            experiment,
+            {"convention": convention, "sides": sides, "out_dir": str(tmp_path)},
         )
-        result = run(cfg)
-        for entry in result.discrepancies:
-            assert entry["status"] in ("reproduced", "discrepant")
+        for entry in run(cfg).discrepancies:
+            rule = _is_reproduced(CLAIMS[entry["claim"]], entry["computed_value"])
+            assert entry["status"] == ("reproduced" if rule else "discrepant")
 
     @pytest.mark.parametrize("experiment", ["table1", "table2"])
     def test_claim_statuses_are_pinned(self, tmp_path, experiment):
