@@ -159,16 +159,16 @@ def er_bell_diagonal(state: BellDiagonalState) -> ERResult:
     return ERResult(value, certificate=_bell_diagonal_minimizer(state))
 
 
-def er_bell_fidelity(fidelity: float, clamp: bool = True) -> float:
+def er_bell_fidelity(fidelity: float) -> float:
     """Scalar bridge 1 - H2((1+F)/2) used by the claim-side convention.
 
-    With ``clamp`` the value is forced to 0 for F <= 1/2 so that decay
-    trajectories stay well defined after crossing the separable regime.
+    The value is 0 for F <= 1/2, so that decay trajectories stay well
+    defined after crossing the separable regime.
     """
     F = float(fidelity)
     if F < -1e-12 or F > 1 + 1e-12:
         raise ValueError(f"fidelity {F} outside [0, 1]")
-    if clamp and F <= 0.5:
+    if F <= 0.5:
         return 0.0
     return 1.0 - binary_entropy((1 + F) / 2)
 

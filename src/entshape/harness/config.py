@@ -18,6 +18,8 @@ from ..qstate import bell_pair, werner
 EXPERIMENTS = ("table1", "table2", "flow", "sweep", "er", "selfcheck")
 CONVENTIONS = ("paper", "oracle", "both")
 SIDES = ("one", "two", "both")
+# The experiments that read a convention; the others accept one and ignore it.
+READS_CONVENTION = ("table1", "flow", "sweep")
 # er_state family -> (closed domain of er_param, the state it names); bell takes no parameter.
 ER_FAMILIES = {
     "werner": ((-1 / 3, 1.0), lambda x: werner(x).to_density_matrix()),
@@ -74,8 +76,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} = {value} is not finite")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; pick from {EXPERIMENTS}")
-        # table2 and er take no convention; one given to them must still be valid.
-        needs_convention = self.experiment in ("table1", "flow", "sweep")
+        # A convention given to an experiment that reads none must still be valid.
+        needs_convention = self.experiment in READS_CONVENTION
         if (needs_convention or self.convention) and self.convention not in CONVENTIONS:
             raise ConfigError(
                 f"convention must be given explicitly as one of {CONVENTIONS} "

@@ -17,7 +17,7 @@ import os
 import tempfile
 import time
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,9 @@ from ..qstate import (
     werner,
 )
 from .claims import claim
-from .config import CONVENTIONS, DEFAULT_P_PRIME, ER_FAMILIES, SIDES, ConfigError, ExperimentConfig, readings
+from .config import (
+    CONVENTIONS, DEFAULT_P_PRIME, ER_FAMILIES, READS_CONVENTION, SIDES, ConfigError, ExperimentConfig, readings
+)
 from .report import discrepancy_entry, render_report
 
 # Sampled runs of the self-check's comparison with the exact branch table;
@@ -119,17 +121,24 @@ def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> N
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _per_transit_factor(bridge: str) -> float:
+    """Depolarizing strength per transit per unit of a convention's p.
+
+    ``paper`` reads p as the map rho -> (1 - p) rho + p I/2, which is
+    ``depolarizing(3p/4)`` for p in [0, 1].
+    """
+    if bridge not in ("paper", "oracle"):
+        raise ConfigError(f"unknown convention {bridge!r}")
+    return 0.75 if bridge == "paper" else 1.0
+
+
 def input_pair_state(bridge: str, geometry: str, p: float) -> BellDiagonalState:
     """Per-pair post-channel state: Kraus application of a depolarizing channel.
 
     Both conventions build the pair on the one Kraus path and differ only in
-    how they read p. ``oracle`` applies ``depolarizing(p)``. ``paper`` reads p
-    as the map rho -> (1 - p) rho + p I/2, which is ``depolarizing(3p/4)``:
-    each transit shrinks the Werner parameter to 1 - p.
+    how they read p.
     """
-    if bridge not in ("paper", "oracle"):
-        raise ConfigError(f"unknown convention {bridge!r}")
-    q = 0.75 * p if bridge == "paper" else p
+    q = _per_transit_factor(bridge) * p
     return bell_projection(transmit_bell_pair(depolarizing(q), geometry))
 
 
@@ -144,39 +153,32 @@ def er_pair(state: BellDiagonalState) -> dict:
 def calibrate_p_prime(target_er: float, bridge: str, geometry: str, p_raw: float) -> dict:
     """Effective noise parameter whose per-pair entanglement equals the target.
 
-    Bisects a closed form, so no state is built per step. The pair of
-    :func:`input_pair_state` is ``werner(shrink)``, with shrink 1 - p'
-    (``paper``) or 1 - 4p'/3 (``oracle``) per transit, squared for two.
-    ``oracle`` reads it by the Bell-diagonal closed form, ``paper`` by the
-    published fidelity form, unclamped, at F = shrink. ``feasible`` records
-    whether compression from the raw parameter reaches p' (p' <= p);
-    infeasible calibrations are kept and flagged, not hidden.
+    The pair of :func:`input_pair_state` at p' is ``werner(shrink)``, with
+    shrink = (1 - 4q/3)^transits at per-transit strength q. Both readings are
+    1 - H2(x): ``oracle`` (the closed form) at the Bell weight
+    x = (1 + 3 shrink)/4, ``paper`` (the fidelity form, unclamped) at
+    x = (1 + shrink)/2. So one bisection on x in [1/2, 1] serves every
+    reading, p' follows in closed form, and no state is built. ``feasible``
+    records whether compression from the raw parameter reaches p'
+    (0 < p' <= p); infeasible calibrations are kept and flagged, not hidden.
     """
-    if bridge not in ("paper", "oracle"):
-        raise ConfigError(f"unknown convention {bridge!r}")
-    transits = 1 if geometry == "one" else 2
-
-    def per_pair_er(p_prime: float) -> float:
-        shrink = (1 - p_prime if bridge == "paper" else 1 - 4 * p_prime / 3) ** transits
-        if bridge == "paper":
-            return er_bell_fidelity(shrink, clamp=False)
-        return er_bell_diagonal(werner(shrink)).value
-
-    lo, hi = 1e-9, 0.75 - 1e-9
-    if not (per_pair_er(hi) <= target_er <= per_pair_er(lo)):
-        return {"p_prime": None, "feasible": False, "achieved_er": None}
-    # Halve until the midpoint rounds onto an endpoint: about 55 steps.
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if per_pair_er(mid) > target_er:
-            lo = mid
+    factor = _per_transit_factor(bridge)
+    if not 0 <= target_er <= 1:
+        raise ValueError(f"target entanglement {target_er} outside [0, 1]")
+    # Halve until the midpoint rounds onto an endpoint: about 53 steps.
+    lo, x, hi = 0.5, 0.75, 1.0
+    while lo < x < hi:
+        if 1 - binary_entropy(x) < target_er:
+            lo = x
         else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
+            hi = x
+        x = 0.5 * (lo + hi)
+    shrink = 2 * x - 1 if bridge == "paper" else (4 * x - 1) / 3
+    p_prime = 0.75 * (1 - shrink ** (1 if geometry == "one" else 0.5)) / factor
     return {
-        "p_prime": mid,
-        "feasible": bool(mid <= p_raw + 1e-9),
-        "achieved_er": per_pair_er(mid),
+        "p_prime": p_prime,
+        "feasible": 0 < p_prime <= p_raw,
+        "achieved_er": 1 - binary_entropy(x),
     }
 
 
@@ -339,18 +341,13 @@ def run_table1(cfg: ExperimentConfig) -> ExperimentResult:
             state = input_pair_state(bridge, geometry, cfg.p)
             post[bridge, geometry] = _distillation_row(cfg, state, bridge, geometry)
             calib = calibs[bridge, geometry] = calibrate_p_prime(target, bridge, geometry, cfg.p)
-            shaped = []
-            if calib["p_prime"] is not None:
-                row = _pes_row(cfg, bridge, geometry, calib["p_prime"], "pre_channel_shaping_calibrated")
-                shaped.append(
-                    {
-                        **row,
-                        "calibrated_to": target,
-                        "calibration_achieved_er": calib["achieved_er"],
-                        "calibration_feasible_from_p": calib["feasible"],
-                    }
-                )
-            shaped.append(_pes_row(cfg, bridge, geometry, pinned, "pre_channel_shaping"))
+            calibrated = {
+                **_pes_row(cfg, bridge, geometry, calib["p_prime"], "pre_channel_shaping_calibrated"),
+                "calibrated_to": target,
+                "calibration_achieved_er": calib["achieved_er"],
+                "calibration_feasible_from_p": calib["feasible"],
+            }
+            shaped = [calibrated, _pes_row(cfg, bridge, geometry, pinned, "pre_channel_shaping")]
             result.rows += [post[bridge, geometry], *shaped]
             pes += shaped
 
@@ -387,10 +384,7 @@ def run_table1(cfg: ExperimentConfig) -> ExperimentResult:
     )
     feasible = [v["achieved_er"] for v in calibs.values() if v["feasible"]]
     summary = {
-        f"{b}/{g}": {
-            "p_prime": round(v["p_prime"], 6) if v["p_prime"] is not None else None,
-            "feasible_from_p": v["feasible"],
-        }
+        f"{b}/{g}": {"p_prime": round(v["p_prime"], 6), "feasible_from_p": v["feasible"]}
         for (b, g), v in calibs.items()
     }
     result.discrepancies.append(
@@ -684,6 +678,9 @@ _RUNNERS = {
 def run(cfg: ExperimentConfig) -> ExperimentResult:
     """Validate, dispatch, and persist one experiment."""
     cfg.validate()
+    if cfg.experiment not in READS_CONVENTION:
+        # An unread convention is echoed as "", so it cannot change the result bytes.
+        cfg = replace(cfg, convention="")
     start = time.monotonic()
     result = _RUNNERS[cfg.experiment](cfg)
     result.wall_clock_seconds = time.monotonic() - start

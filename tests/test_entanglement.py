@@ -76,7 +76,6 @@ class TestBellDiagonalClosedForm:
         assert er_bell_fidelity(0.83) == pytest.approx(0.5804, abs=1e-4)
         assert er_bell_fidelity(1.0) == pytest.approx(1.0, abs=1e-12)
         assert er_bell_fidelity(0.4) == 0.0
-        assert er_bell_fidelity(0.4, clamp=False) > 0.0
 
     def test_certificate_reproduces_value(self):
         for coeffs in [(0.83, 0.1, 0.05, 0.02), (0.6, 0.4, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)]:

@@ -34,7 +34,7 @@ from entshape.harness.experiments import (
     run,
 )
 from entshape.harness.report import _is_reproduced, discrepancy_entry, render_report
-from entshape.qstate import BellDiagonalState, DensityMatrix, werner
+from entshape.qstate import BellDiagonalState, DensityMatrix, binary_entropy, werner
 
 
 def cli(*args):
@@ -230,8 +230,8 @@ class TestConventions:
     @pytest.mark.parametrize("geometry", ["one", "two"])
     @pytest.mark.parametrize("bridge", ["oracle", "paper"])
     def test_pair_bell_weights_closed_form(self, bridge, geometry):
-        # The calibration bisects these closed forms instead of the Kraus
-        # output: each transit shrinks the Werner parameter by 1 - 4p/3
+        # The calibration inverts these closed forms instead of building the
+        # Kraus output: each transit shrinks the Werner parameter by 1 - 4p/3
         # (oracle) or 1 - p (paper, the Kraus path at 3p/4), and two transits
         # square the factor; werner((1 - p)^k) is the paper's direct mixture.
         k = 1 if geometry == "one" else 2
@@ -271,7 +271,7 @@ class TestConventions:
         assert counts["apply"] == 2 and counts["density_matrix"] > 0
 
     def test_calibration_known_solutions(self):
-        # Bisection targets cross-checked against direct formula inversions.
+        # Calibrated values cross-checked against direct formula inversions.
         paper = calibrate_p_prime(0.187, "paper", "one", 0.2)
         assert paper["p_prime"] == pytest.approx(0.5022, abs=1e-3)
         assert not paper["feasible"]
@@ -282,6 +282,30 @@ class TestConventions:
         assert oracle_two["p_prime"] == pytest.approx(0.1383, abs=1e-3)
         assert oracle_two["feasible"]
         assert oracle_two["achieved_er"] == pytest.approx(0.187, abs=1e-9)
+
+    @given(
+        target=st.floats(0.0, 1.0),
+        bridge=st.sampled_from(["oracle", "paper"]),
+        geometry=st.sampled_from(["one", "two"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_calibration_reaches_every_target(self, target, bridge, geometry):
+        # Every target in [0, 1] has a p' under every reading, and the Kraus
+        # pair at that p' reads the target back: oracle by the closed form,
+        # paper by the unclamped fidelity form at the Werner parameter.
+        p_prime = calibrate_p_prime(target, bridge, geometry, 0.2)["p_prime"]
+        assert 0 <= p_prime <= (0.75 if bridge == "oracle" else 1.0)
+        pair = input_pair_state(bridge, geometry, p_prime)
+        if bridge == "oracle":
+            read_back = er_bell_diagonal(pair).value
+        else:
+            read_back = 1 - binary_entropy((1 + (4 * pair.fidelity - 1) / 3) / 2)
+        assert abs(read_back - target) <= 1e-12
+
+    @pytest.mark.parametrize("target", [-1e-12, 1 + 1e-12, math.nan])
+    def test_calibration_rejects_target_outside_unit_interval(self, target):
+        with pytest.raises(ValueError, match="outside"):
+            calibrate_p_prime(target, "oracle", "one", 0.2)
 
 
 class TestReport:
@@ -387,6 +411,30 @@ class TestExperiments:
         for entry in run(cfg).discrepancies:
             rule = _is_reproduced(CLAIMS[entry["claim"]], entry["computed_value"])
             assert entry["status"] == ("reproduced" if rule else "discrepant")
+
+    def test_no_certified_interval_straddles_a_status_window(self, tmp_path):
+        # A status decided at one end of a certified interval holds at the other.
+        cfg = build_config("table2", {"out_dir": str(tmp_path)})
+        entries = [e for e in run(cfg).discrepancies if "interval" in e]
+        assert [e["claim"] for e in entries] == ["table2_pes", "ad_delta"]
+        for entry in entries:
+            ends = [_is_reproduced(CLAIMS[entry["claim"]], end) for end in entry["interval"]]
+            assert ends == [entry["status"] == "reproduced"] * 2
+
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [("table2", {}), ("er", {"er_state": "werner", "er_param": 0.83}), ("selfcheck", {})],
+    )
+    def test_unread_convention_leaves_result_unchanged(self, tmp_path, experiment, overrides):
+        # These experiments read no convention, so none given, or any given,
+        # writes the same result document outside the wall clock.
+        path = tmp_path / f"{experiment}_result.json"
+        documents = set()
+        for given in ({}, {"convention": "oracle"}, {"convention": "paper"}, {"convention": "both"}):
+            run(build_config(experiment, {**overrides, **given, "out_dir": str(tmp_path)}))
+            documents.add(strip_wall_clock(path))
+        assert len(documents) == 1
+        assert json.loads(path.read_text())["config"]["convention"] == ""
 
     @pytest.mark.parametrize("experiment", ["table1", "table2"])
     def test_claim_statuses_are_pinned(self, tmp_path, experiment):
