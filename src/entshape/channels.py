@@ -33,11 +33,9 @@ from .qstate import (
     _frozen_copy,
     as_operator,
     bell_pair,
-    partial_transpose,
 )
 
 COMPLETENESS_TOL = 1e-10
-PRUNE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,10 +59,6 @@ class QuantumChannel:
     @property
     def dim(self) -> int:
         return self.kraus_ops[0].shape[0]
-
-
-def identity_channel(dim: int = 2) -> QuantumChannel:
-    return QuantumChannel([np.eye(dim, dtype=complex)])
 
 
 def depolarizing(p: float) -> QuantumChannel:
@@ -105,19 +99,6 @@ def apply(channel: QuantumChannel, rho: DensityMatrix, target: int = 0) -> Densi
     return DensityMatrix(out, rho.dims)
 
 
-def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
-    """Channel doing ``inner`` first, then ``outer``; small Kraus terms pruned."""
-    if outer.dim != inner.dim:
-        raise ValueError("cannot compose channels of different dimensions")
-    ops = []
-    for a in outer.kraus_ops:
-        for b in inner.kraus_ops:
-            k = a @ b
-            if np.linalg.norm(k) > PRUNE_TOL:
-                ops.append(k)
-    return QuantumChannel(ops)
-
-
 def transmit_bell_pair(channel: QuantumChannel, sides: str = "one") -> DensityMatrix:
     """Phi+ after the channel acts on qubit B, and then on qubit A when ``sides`` is "two".
 
@@ -127,12 +108,6 @@ def transmit_bell_pair(channel: QuantumChannel, sides: str = "one") -> DensityMa
         raise ValueError(f"sides must be 'one' or 'two', got {sides!r}")
     pair = apply(channel, bell_pair(), target=1)
     return apply(channel, pair, target=0) if sides == "two" else pair
-
-
-def is_entanglement_breaking(channel: QuantumChannel) -> bool:
-    """PPT test on the Choi state (minimum PT eigenvalue >= -1e-10); exact for qubit channels."""
-    c = transmit_bell_pair(channel)
-    return float(np.linalg.eigvalsh(partial_transpose(c.matrix)).min()) >= -1e-10
 
 
 def dd_compression(noise_spectral_density: float, pulse_frequency: float) -> float:

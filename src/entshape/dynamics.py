@@ -43,19 +43,6 @@ def er_production_rate(fidelity: float, p: float) -> float:
     return -(p * fidelity / 2) * math.log2((1 + fidelity) / (1 - fidelity))
 
 
-def delta_er(p: float, p_prime: float, f0: float, horizon: float) -> float:
-    """Integrated suppression E(F0 e^(-p' T)) - E(F0 e^(-p T)); 0 when p' = p."""
-    if p_prime > p:
-        raise ValueError(f"compressed parameter {p_prime} exceeds raw parameter {p}")
-    if p_prime < 0:
-        raise ValueError("parameters must be non-negative")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    f_slow = fidelity_decay(f0, p_prime, horizon)
-    f_fast = fidelity_decay(f0, p, horizon)
-    return er_bell_fidelity(f_slow) - er_bell_fidelity(f_fast)
-
-
 def trajectory(
     p: float, p_prime: float, f0: float, horizon: float, step: float
 ) -> tuple[tuple[TrajectoryRow, ...], tuple[TrajectoryRow, ...]]:

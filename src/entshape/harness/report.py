@@ -8,8 +8,10 @@ value, and the gap. There is no third state and no silent dropping.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from .claims import Claim
+if TYPE_CHECKING:  # annotations only: the claims registry loads with the table runners
+    from .claims import Claim
 
 # Bare numbers are quoted to at most two or three significant figures, so
 # they get a 1% relative window; every known-bad arithmetic entry misses it

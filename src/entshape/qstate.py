@@ -108,16 +108,6 @@ class DensityMatrix:
             raise ValueError(f"state vector norm {norm} differs from 1")
         return cls(np.outer(v, v.conj()), dims)
 
-    @classmethod
-    def maximally_mixed(cls, dims: Sequence[int] = (2,)) -> "DensityMatrix":
-        d = int(np.prod(tuple(dims)))
-        return cls(np.eye(d, dtype=complex) / d, dims)
-
-
-def bell_state(index: int = 0) -> np.ndarray:
-    """State vector of the Bell state at the fixed basis position."""
-    return BELL_VECTORS[index].copy()
-
 
 def bell_pair(index: int = 0) -> DensityMatrix:
     return DensityMatrix.from_state_vector(BELL_VECTORS[index], (2, 2))
@@ -197,27 +187,6 @@ def werner(fidelity_param: float) -> BellDiagonalState:
     return BellDiagonalState(((1 + 3 * F) / 4, rest, rest, rest))
 
 
-def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product of two states; subsystem dims are concatenated."""
-    return DensityMatrix(np.kron(a.matrix, b.matrix), a.dims + b.dims)
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduce to the listed subsystems (order preserved, trace preserved)."""
-    keep = sorted(set(int(k) for k in keep))
-    n = len(rho.dims)
-    if not keep or any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"invalid subsystem selection {keep} for dims {rho.dims}")
-    dims = list(rho.dims)
-    reshaped = rho.matrix.reshape(dims + dims)
-    traced = [i for i in range(n) if i not in keep]
-    for idx in sorted(traced, reverse=True):
-        reshaped = np.trace(reshaped, axis1=idx, axis2=idx + len(dims))
-        dims.pop(idx)
-    d = int(np.prod(dims))
-    return DensityMatrix(reshaped.reshape(d, d), tuple(dims))
-
-
 def partial_transpose(m: np.ndarray) -> np.ndarray:
     """Transpose qubit B of a 4x4 two-qubit matrix; Hermitian, possibly non-PSD.
 
@@ -233,12 +202,6 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
 def _clamped_spectrum(m: np.ndarray) -> np.ndarray:
     vals = np.linalg.eigvalsh(m)
     return vals[vals > SUPPORT_TOL]
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum lambda log2 lambda over the spectrum, with 0 log 0 := 0."""
-    vals = _clamped_spectrum(rho.matrix)
-    return float(-np.sum(vals * np.log2(vals)))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -271,18 +234,3 @@ def binary_entropy(x: float) -> float:
     if x == 0.0 or x == 1.0:
         return 0.0
     return float(-x * math.log2(x) - (1 - x) * math.log2(1 - x))
-
-
-def random_pure_state(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    """Haar-distributed state vector."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
-def random_density_matrix(rng: np.random.Generator, dims: Sequence[int] = (2, 2), rank: int | None = None) -> DensityMatrix:
-    """Random mixed state from a Ginibre factor G G^dag / Tr."""
-    d = int(np.prod(tuple(dims)))
-    r = rank or d
-    g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, dims)

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from entshape.entanglement import _ln_first_differences
-from entshape.qstate import DensityMatrix, partial_transpose, random_density_matrix
+from entshape.qstate import DensityMatrix, partial_transpose
+from entshape.ree import _ln_first_differences
+from helpers import random_density_matrix
 
 
 def inverse_ree_pair(rng: np.random.Generator, rank: int, fraction: float) -> tuple[DensityMatrix, DensityMatrix] | None:

@@ -10,13 +10,10 @@ from entshape.channels import (
     QuantumChannel,
     amplitude_damping,
     apply,
-    compose,
     dd_compression,
     dd_effective_pulse_average,
     depolarizing,
     eb_threshold_depolarizing,
-    identity_channel,
-    is_entanglement_breaking,
     pauli_twirl,
     transmit_bell_pair,
 )
@@ -25,10 +22,9 @@ from entshape.qstate import (
     DensityMatrix,
     bell_pair,
     bell_projection,
-    partial_trace,
-    random_density_matrix,
     werner,
 )
+from helpers import compose, identity_channel, is_entanglement_breaking, partial_trace, random_density_matrix
 
 
 def completeness_defect(channel):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from entshape.dynamics import (
-    delta_er,
     er_production_rate,
     fidelity_decay,
     trajectory,
@@ -12,6 +11,7 @@ from entshape.dynamics import (
 from entshape.entanglement import CERTIFIED_GAP, er_bell_fidelity
 from entshape.harness.config import build_config
 from entshape.harness.experiments import run
+from helpers import delta_er
 
 
 def rk4_decay(f0, p, t_final, steps=4000):

@@ -6,30 +6,27 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from entshape import entanglement
+from entshape import entanglement, ree
 from entshape.channels import amplitude_damping, apply, depolarizing, transmit_bell_pair
 from entshape.entanglement import (
     CERTIFIED_GAP,
     SeparableAnsatz,
-    _er_ppt_barrier,
     er_bell_diagonal,
     er_bell_fidelity,
     er_numeric,
-    er_pure,
     negativity,
 )
 from entshape.qstate import (
     BellDiagonalState,
     DensityMatrix,
     bell_pair,
-    bell_state,
     binary_entropy,
     partial_transpose,
-    random_density_matrix,
-    random_pure_state,
     relative_entropy,
     werner,
 )
+from entshape.ree import _er_ppt_barrier
+from helpers import bell_state, er_pure, maximally_mixed, random_density_matrix, random_pure_state
 from ree_oracle import inverse_ree_pair
 
 
@@ -96,7 +93,7 @@ class TestBellDiagonalClosedForm:
 
 class TestNegativity:
     def test_maximally_mixed_zero(self):
-        assert negativity(DensityMatrix.maximally_mixed((2, 2))) == 0.0
+        assert negativity(maximally_mixed((2, 2))) == 0.0
 
     def test_bell_half(self):
         assert negativity(bell_pair()) == pytest.approx(0.5, abs=1e-12)
@@ -104,7 +101,7 @@ class TestNegativity:
     def test_rejects_non_pair(self):
         # A 4x4 state that is not a qubit pair has no partial transpose.
         with pytest.raises(ValueError):
-            negativity(DensityMatrix.maximally_mixed((4,)))
+            negativity(maximally_mixed((4,)))
 
     def test_mixture_werner_sweep(self):
         # PT eigenvalue oracle: for the F-mixture family the negative part is
@@ -153,7 +150,7 @@ class TestNumericSolver:
 
     def test_non_convergence_is_flagged(self, monkeypatch):
         rho = random_density_matrix(np.random.default_rng(51), (2, 2))
-        monkeypatch.setattr(entanglement, "_PPT_MAX_STEPS", 3)
+        monkeypatch.setattr(ree, "_PPT_MAX_STEPS", 3)
         res = er_numeric(rho)
         assert not res.converged
         assert res.iterations == 3
@@ -285,14 +282,14 @@ class TestXStatePath:
         u = np.kron(ry, np.eye(2))  # R_y(2 pi) on A: -I up to 1.2e-16
         rotated = DensityMatrix(u @ bell_pair(0).matrix @ u.T, (2, 2))
         damped = apply(amplitude_damping(1e-3), apply(amplitude_damping(1e-3), rotated, target=1), target=0)
-        monkeypatch.setattr(entanglement, "_er_ppt_barrier", no_general_path)
+        monkeypatch.setattr(ree, "_er_ppt_barrier", no_general_path)
         cases = [
             (plus(damped_pair(1e-9), 1, 2, 1e-16), er_numeric(damped_pair(1e-9)).value),
             (plus(bell_pair(0), 0, 1, 1e-13), 1.0),
             (damped, er_numeric(damped_pair(1e-3, 1e-3)).value),
         ]
         for rho, exact in cases:
-            assert 0 < np.abs(rho.matrix[~entanglement._X_PATTERN]).max() <= entanglement.X_STATE_TOL
+            assert 0 < np.abs(rho.matrix[~ree._X_PATTERN]).max() <= ree.X_STATE_TOL
             res = er_numeric(rho)
             check_x_result(rho, res)
             assert res.converged and res.value - res.lower <= 1e-12
@@ -347,14 +344,14 @@ ZERO_BH_COORDS = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).map(
 
 
 def product_max_reference(g):
-    """The generator form of entanglement._product_max, whose bits the plain-float loops must keep.
+    """The generator form of ree._product_max, whose bits the plain-float loops must keep.
 
     A nonzero |bh| below an ulp of a_min leaves no float in the bracket for
     l, and psi is taken at the first float above -a_min, as in the module.
     A square that underflows to 0 gives an infinite float64 term with a
     warning, which is silenced.
     """
-    coords = np.einsum("kab,ba->k", entanglement._BASIS, g).real.reshape(4, 4) / 4
+    coords = np.einsum("kab,ba->k", ree._BASIS, g).real.reshape(4, 4) / 4
     c, alpha, beta, tt = coords[0, 0], coords[1:, 0], coords[0, 1:], coords[1:, 1:]
     a, frame = np.linalg.eigh(np.outer(beta, beta) - tt.T @ tt)
     beta_f, alpha_f = frame.T @ beta, frame.T @ tt.T @ alpha
@@ -405,7 +402,7 @@ class TestGeneralPathParts:
     def test_product_max_is_exact(self, terms, expected):
         pauli = {"i": np.eye(2), "x": np.array([[0, 1], [1, 0]]), "y": np.array([[0, -1j], [1j, 0]]), "z": np.diag([1, -1])}
         g = sum(w * np.kron(pauli[k[0]], pauli[k[1]]) for k, w in terms.items()).astype(complex)
-        assert entanglement._product_max(g) == pytest.approx(expected, abs=1e-12)
+        assert ree._product_max(g) == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -424,7 +421,7 @@ class TestGeneralPathParts:
         kets = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=1)
         reduced = np.einsum("nb,abcd,nd->nac", kets.conj(), g.reshape(2, 2, 2, 2), kets)
         grid_max = np.linalg.eigvalsh(reduced)[:, -1].max()
-        top = entanglement._product_max(g)
+        top = ree._product_max(g)
         # Certified: never below an attained value; the grid's spacing of about
         # 0.025 puts its smooth maximum within 5e-3 of the true one.
         assert grid_max - 1e-12 <= top <= grid_max + 5e-3
@@ -433,8 +430,8 @@ class TestGeneralPathParts:
     @settings(max_examples=90, deadline=None)
     @given(coords=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16) | ZERO_BH_COORDS)
     def test_product_max_matches_generator_reference_bit_for_bit(self, coords):
-        g = np.tensordot(np.array(coords), entanglement._BASIS, 1)
-        assert entanglement._product_max(g) == product_max_reference(g)
+        g = np.tensordot(np.array(coords), ree._BASIS, 1)
+        assert ree._product_max(g) == product_max_reference(g)
 
     @pytest.mark.parametrize("a", [0.6, 0.9, 0.93])
     @pytest.mark.parametrize("b", [1e-9, 1e-10])
@@ -443,7 +440,7 @@ class TestGeneralPathParts:
         # Wootters phases close a triangle of width 2b against sides near 0.3.
         sigma = np.diag([a, b, b, 1 - a - 2 * b]).astype(complex)
         sigma[0, 3] = sigma[3, 0] = b
-        ansatz = entanglement._product_decomposition(sigma)
+        ansatz = ree._product_decomposition(sigma)
         assert len(ansatz.weights) <= 4
         assert np.abs(ansatz.assemble().matrix - sigma).max() < 1e-15
 
@@ -454,7 +451,7 @@ class TestGeneralPathParts:
         rng = np.random.default_rng(seed)
         frame = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
         sigma = frame @ np.diag([1e-24, 1e-12, 0.3, 0.7 - 1e-12 - 1e-24]) @ frame.conj().T
-        g = entanglement._log_gradient(random_density_matrix(rng, (2, 2)).matrix, sigma)
+        g = ree._log_gradient(random_density_matrix(rng, (2, 2)).matrix, sigma)
         assert np.isfinite(g).all()
 
 
@@ -469,12 +466,12 @@ def check_general_result(rho, res):
 
 
 def is_x_shaped(rho):
-    return np.abs(rho.matrix[~entanglement._X_PATTERN]).max() <= entanglement.X_STATE_TOL
+    return np.abs(rho.matrix[~ree._X_PATTERN]).max() <= ree.X_STATE_TOL
 
 
 def check_result(rho, res):
     """check_x_result when rho has an X frame whose interval closes (er_numeric returns that solve), else check_general_result."""
-    frame = entanglement._er_x_frame(rho)
+    frame = ree._er_x_frame(rho)
     if frame is not None and frame.converged:
         assert res.value == frame.value
         assert res.converged == (res.value - res.lower <= CERTIFIED_GAP)
@@ -578,7 +575,7 @@ def test_barrier_centers_its_final_iterate():
         solved[ppt] += 1
         res = _er_ppt_barrier(rho)
         check_general_result(rho, res)
-        top = entanglement._product_max(entanglement._log_gradient(rho.matrix, res.certificate.assemble().matrix))
+        top = ree._product_max(ree._log_gradient(rho.matrix, res.certificate.assemble().matrix))
         assert (top - 1) / math.log(2) <= 2e-11
 
 
@@ -597,9 +594,9 @@ def test_general_path_step_budget(monkeypatch):
     # and only the first point, accepted Newton steps and predictor steps
     # build derivatives, each counted once in iterations.
     points, builds = [], []
-    point, derivatives = entanglement._barrier_point, entanglement._barrier_derivatives
-    monkeypatch.setattr(entanglement, "_barrier_point", lambda s, rho: points.append(s.tobytes()) or point(s, rho))
-    monkeypatch.setattr(entanglement, "_barrier_derivatives", lambda *p: builds.append(p) or derivatives(*p))
+    point, derivatives = ree._barrier_point, ree._barrier_derivatives
+    monkeypatch.setattr(ree, "_barrier_point", lambda s, rho: points.append(s.tobytes()) or point(s, rho))
+    monkeypatch.setattr(ree, "_barrier_derivatives", lambda *p: builds.append(p) or derivatives(*p))
 
     def solve(rho):
         points.clear()
@@ -631,7 +628,7 @@ def test_general_path_step_budget(monkeypatch):
         assert res.converged
         assert res.lower - CERTIFIED_GAP <= er_pure(psi).value <= res.value + CERTIFIED_GAP
     # er_numeric sends the rotated pairs, a local unitary away from X states, to the X path.
-    monkeypatch.setattr(entanglement, "_er_ppt_barrier", no_general_path)
+    monkeypatch.setattr(ree, "_er_ppt_barrier", no_general_path)
     for rho in rotated:
         res = er_numeric(rho)
         check_x_result(rho, res)
@@ -654,7 +651,7 @@ class TestLocalUnitaryFrame:
             assert not is_x_shaped(rho)
             res = er_numeric(rho)
             sigma = res.certificate.assemble().matrix
-            top = entanglement._product_max(entanglement._log_gradient(rho.matrix, sigma))
+            top = ree._product_max(ree._log_gradient(rho.matrix, sigma))
             assert res.converged and (top - 1) / math.log(2) <= 1e-12
 
     def test_rank_one_block_certifies_on_x_path(self, monkeypatch):
@@ -664,7 +661,7 @@ class TestLocalUnitaryFrame:
         # <u2|R|u2> to its last digit. The last state, the frame of a rotated
         # Phi+, has |rho_03| = sqrt(p00 p11) one ulp above sqrt(p00) sqrt(p11),
         # which must not turn <u2|R|u2> negative and the objective unbounded.
-        monkeypatch.setattr(entanglement, "_er_ppt_barrier", no_general_path)
+        monkeypatch.setattr(ree, "_er_ppt_barrier", no_general_path)
         states = [x_state([0.35 + k * 2.0**-54, 0.0, 0.3, 0.35 - k * 2.0**-54], 0.35) for k in (0, 1, 2, -1, 16, 1000)]
         states.append(x_state([0.49999999999999967, 8.3266726846886741e-17, 8.3266726846886741e-17, 0.49999999999999978], 0.4999999999999997))
         for rho in states:
@@ -675,7 +672,7 @@ class TestLocalUnitaryFrame:
     def test_states_without_an_x_frame_keep_the_general_path(self):
         # A generic full-rank state has three distinct singular values in T.
         rho = random_density_matrix(np.random.default_rng(19), (2, 2))
-        assert entanglement._er_x_frame(rho) is None
+        assert ree._er_x_frame(rho) is None
 
 
 I_X = np.kron(np.eye(2), np.array([[0, 1], [1, 0]]))
@@ -708,12 +705,12 @@ def test_local_unitary_away_from_x_state_takes_x_path(source, gamma, gamma_a, se
             start = X_CASES[source]
         x_form = start
     assert is_x_shaped(x_form)
-    reference = entanglement._er_x_state(x_form)
+    reference = ree._er_x_state(x_form)
     assume(reference.converged)
     u = np.eye(4) if seed is None else random_product_unitary(np.random.default_rng(seed))
     rho = DensityMatrix(u @ start.matrix @ u.conj().T, (2, 2))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(entanglement, "_er_ppt_barrier", no_general_path)
+        mp.setattr(ree, "_er_ppt_barrier", no_general_path)
         res = er_numeric(rho)
     check_x_result(rho, res)
     assert res.converged
@@ -810,6 +807,6 @@ class TestSeparableAnsatz:
         # A global phase and a relative phase of 2.1 on every ket; no amplitude
         # is too small to keep.
         v = np.exp(0.7j) * np.array([modulus, math.sqrt(1 - modulus**2) * np.exp(2.1j)])
-        ket = entanglement._ket(*entanglement._angles(v))
+        ket = entanglement._ket(*ree._angles(v))
         overlap = np.vdot(ket, v)
         assert np.abs(ket * overlap / abs(overlap) - v).max() <= 1e-15

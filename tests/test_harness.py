@@ -28,11 +28,8 @@ from entshape.harness.config import (
     load_config_file,
     parse_value,
 )
-from entshape.harness.experiments import (
-    calibrate_p_prime,
-    input_pair_state,
-    run,
-)
+from entshape.harness.experiments import input_pair_state, run
+from entshape.harness.tables import calibrate_p_prime
 from entshape.harness.report import _is_reproduced, discrepancy_entry, render_report
 from entshape.qstate import BellDiagonalState, DensityMatrix, binary_entropy, werner
 
@@ -510,6 +507,31 @@ class TestCLI:
         proc = cli("table1", "--out", str(tmp_path))
         assert proc.returncode == 2
         assert "convention" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, loaded",
+        [
+            ((), []),
+            (("flow", "--convention", "oracle"), []),
+            (("er", "--state", "werner", "--param", "0.83"), ["entshape.ree"]),
+            (("table1", "--convention", "oracle"), ["entshape.harness.tables"]),
+        ],
+        ids=["import", "flow", "er", "table1"],
+    )
+    def test_subcommand_compiles_only_what_it_runs(self, tmp_path, args, loaded):
+        # A fresh interpreter per case: the numeric solver and the table
+        # runners are imported by the subcommands that run them, and only by those.
+        script = (
+            "import json, sys\n"
+            "from entshape.harness import cli\n"
+            "code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+            "print(json.dumps([m for m in ('entshape.ree', 'entshape.harness.tables') if m in sys.modules]))\n"
+            "sys.exit(code)\n"
+        )
+        argv = [*args, "--out", str(tmp_path), "--quiet"] if args else []
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == loaded
 
     def test_unwritable_output_exits_three(self):
         proc = cli(

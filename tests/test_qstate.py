@@ -9,17 +9,20 @@ from entshape.qstate import (
     DensityMatrix,
     bell_pair,
     bell_projection,
-    bell_state,
     binary_entropy,
-    partial_trace,
     partial_transpose,
     purity_and_mixedness,
+    relative_entropy,
+    werner,
+)
+from helpers import (
+    bell_state,
+    maximally_mixed,
+    partial_trace,
     random_density_matrix,
     random_pure_state,
-    relative_entropy,
     tensor,
     von_neumann_entropy,
-    werner,
 )
 from ree_oracle import inverse_ree_pair
 
@@ -54,7 +57,7 @@ class TestDensityMatrix:
             DensityMatrix(np.eye(4) / 4, (2,))
 
     def test_matrix_is_immutable(self):
-        rho = DensityMatrix.maximally_mixed((2,))
+        rho = maximally_mixed((2,))
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
 
@@ -78,7 +81,7 @@ class TestTensor:
         assert out.dims == (2, 2)
 
     def test_maximally_mixed(self):
-        half = DensityMatrix.maximally_mixed((2,))
+        half = maximally_mixed((2,))
         out = tensor(half, half)
         assert np.allclose(out.matrix, np.eye(4) / 4)
 
@@ -119,7 +122,7 @@ class TestPartialTrace:
 
 class TestPartialTranspose:
     def test_identity_fixed_point(self):
-        rho = DensityMatrix.maximally_mixed((2, 2))
+        rho = maximally_mixed((2, 2))
         assert np.allclose(partial_transpose(rho.matrix), rho.matrix)
 
     def test_bell_minimum_eigenvalue(self):
@@ -189,7 +192,7 @@ class TestEntropies:
         assert von_neumann_entropy(ket_dm([1, 0])) == 0.0
 
     def test_maximally_mixed_one_bit(self):
-        assert abs(von_neumann_entropy(DensityMatrix.maximally_mixed((2,))) - 1.0) < 1e-12
+        assert abs(von_neumann_entropy(maximally_mixed((2,))) - 1.0) < 1e-12
 
     def test_channel_werner_spectrum(self):
         # Spectrum (0.83, 0.17/3 x3); compare against a direct entropy sum.
@@ -220,7 +223,7 @@ class TestRelativeEntropy:
         assert abs(relative_entropy(rho, rho)) < 1e-10
 
     def test_bell_vs_maximally_mixed(self):
-        value = relative_entropy(bell_pair(), DensityMatrix.maximally_mixed((2, 2)))
+        value = relative_entropy(bell_pair(), maximally_mixed((2, 2)))
         assert abs(value - 2.0) < 1e-12
 
     def test_disjoint_support_is_infinite(self):
@@ -259,7 +262,7 @@ class TestPurityMixedness:
         assert purity_and_mixedness(bell_pair()) == pytest.approx((1.0, 0.0), abs=1e-12)
 
     def test_maximally_mixed(self):
-        purity, mixed = purity_and_mixedness(DensityMatrix.maximally_mixed((2, 2)))
+        purity, mixed = purity_and_mixedness(maximally_mixed((2, 2)))
         assert purity == pytest.approx(0.25, abs=1e-12)
         assert mixed == pytest.approx(1.0, abs=1e-12)
 
