@@ -56,8 +56,8 @@ class SeparableAnsatz:
     def assemble(self) -> DensityMatrix:
         m = np.zeros((4, 4), dtype=complex)
         for w, ((ta, pa), (tb, pb)) in zip(self.weights, self.product_states):
-            v = np.kron(_ket(ta, pa), _ket(tb, pb))
-            m += w * np.outer(v, v.conj())
+            v = np.multiply.outer(_ket(ta, pa), _ket(tb, pb)).ravel()  # np.kron's products, in its order
+            m += w * np.multiply.outer(v, v.conj())
         m = 0.5 * (m + m.conj().T)
         return DensityMatrix(m / np.trace(m).real, (2, 2))
 

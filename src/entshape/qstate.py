@@ -89,7 +89,8 @@ class DensityMatrix:
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
         if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
+        trace = np.trace(m)
+        if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
             raise ValueError("matrix trace differs from 1")
         if np.linalg.eigvalsh(m).min() < -PSD_TOL:
             raise ValueError("matrix has a negative eigenvalue beyond tolerance")

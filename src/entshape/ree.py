@@ -10,9 +10,10 @@ product-state maximum. There are two paths:
   the harness builds) is solved directly. An input within 1e-12 of that
   pattern is twirled onto it in its own frame, and an input a local unitary
   away from an X state (pre-rotated damped pairs, pure states) is rotated
-  into that form and twirled. The optimum is itself an X state, so the
-  search shrinks to four numbers and is solved by Newton steps; the
-  certificate has at most 5 atoms.
+  into that form and twirled. The optimum is itself an X state with closed-
+  form flanks, so Newton steps run on the log-eigenvalues and angle of its
+  {|00>, |11>} block; the certificate has at most 5 atoms. With flanks below
+  about 1e-9, a quarter to a third of these intervals stay open.
 * PPT barrier, for every other input and for an X state whose reduced
   interval does not close: separable equals PPT for two qubits, so Newton
   steps on log-det barriers solve the convex program directly, and the
@@ -319,6 +320,7 @@ X_STATE_TOL = 1e-12  # largest entry outside the X pattern, in some frame, that 
 _X_PATTERN = np.eye(4, dtype=bool)
 _X_PATTERN[0, 3] = _X_PATTERN[3, 0] = True
 _X_MAX_STEPS = 100
+_TINY = np.finfo(float).tiny
 _TWIRL_ANGLES = (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
 _BASIS_ATOMS = tuple(
     (za, zb) for za in ((0.0, 0.0), (math.pi, 0.0)) for zb in ((0.0, 0.0), (math.pi, 0.0))
@@ -326,7 +328,7 @@ _BASIS_ATOMS = tuple(
 
 
 def _block_in_eigenbasis(
-    pops: np.ndarray, r: float, cos: float, sin: float, sin2: float, cos2: float
+    pops: list[float], r: float, cos: float, sin: float, sin2: float, cos2: float
 ) -> tuple[float, float, float]:
     """<u1|R|u1>, <u2|R|u2> and <u1|R|u2> for R = [[p00, r], [r, p11]], u1 = (cos t, sin t), u2 = (-sin t, cos t).
 
@@ -341,7 +343,7 @@ def _block_in_eigenbasis(
     return r1, r2, (pops[3] - pops[0]) * sin2 / 2 + r * cos2
 
 
-def _coherence_gradient(l1: float, l2: float, t: float, pops: np.ndarray, r: float) -> np.ndarray:
+def _coherence_gradient(l1: float, l2: float, t: float, pops: list[float], r: float) -> np.ndarray:
     """D ln(S)[R] for S with eigenvalue e^l1 on u1 and e^l2 on u2; R, u1, u2 as in _block_in_eigenbasis."""
     cos, sin = math.cos(t), math.sin(t)
     vecs = np.array([[cos, -sin], [sin, cos]])
@@ -349,8 +351,7 @@ def _coherence_gradient(l1: float, l2: float, t: float, pops: np.ndarray, r: flo
     with np.errstate(all="ignore"):  # subnormal eigenvalues give inf or NaN; the caller checks
         e1, e2 = np.exp(l1), np.exp(l2)
         divided = (l1 - l2) / (e2 * np.expm1(l1 - l2)) if l1 != l2 else 1 / e2  # (l1 - l2)/(e1 - e2)
-        f = np.array([[1 / e1, divided], [divided, 1 / e2]])
-        return vecs @ (f * np.array([[r1, r12], [r12, r2]])) @ vecs.T
+        return vecs @ np.array([[1 / e1 * r1, divided * r12], [divided * r12, 1 / e2 * r2]]) @ vecs.T
 
 
 def _flanks(x: float, p01: float, p10: float) -> tuple[float, float]:
@@ -358,54 +359,55 @@ def _flanks(x: float, p01: float, p10: float) -> tuple[float, float]:
     delta = p01 - p10
     root = math.sqrt(delta * delta + 4 * x * x)
     if delta >= 0:
-        c = 2 * x * x / (delta + root) if x else 0.0
+        c = 2 * x * x / (delta + root) if delta + root else 0.0  # 0 / 0 where x^2 underflows at p01 = p10
         return c + delta, c
     b = 2 * x * x / (root - delta)
     return b, b - delta
 
 
-def _x_objective(v: np.ndarray, pops: np.ndarray, r: float) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """Reduced objective (nats), gradient and Hessian in v = (l1, l2, t).
+def _x_objective(
+    v: tuple[float, float, float], pops: list[float], r: float
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """Reduced objective (nats), gradient and Hessian in v = (l1, l2, t), from plain floats.
 
     S has eigenvalue e^l1 on u1 = (cos t, sin t) and e^l2 on u2 = (-sin t, cos t),
     so Tr[R ln S] = l1 <u1|R|u1> + l2 <u2|R|u2>, a + d = e^l1 + e^l2 and
     x = (e^l1 - e^l2) sin(2t) / 2 are explicit, and the log-eigenvalues keep
     a nearly singular S well scaled. Infinite outside the domain x > 0.
+    Gradient base + h_x x_v and Hessian base + h_x x_vv + h_xx x_v x_v^T are summed left to right.
     """
     l1, l2, t = v
     if max(l1, l2) > 50:
         return math.inf, None, None
+    p00, p01, p10, p11 = pops
     e1, e2 = math.exp(l1), math.exp(l2)
     sin2, cos2 = math.sin(2 * t), math.cos(2 * t)
     x = (e1 - e2) * sin2 / 2
-    b, c = _flanks(x, pops[1], pops[2])
+    b, c = _flanks(x, p01, p10)
     if not (x > 0 and b > 0 and c > 0):
         return math.inf, None, None
     cos, sin = math.cos(t), math.sin(t)
     r1, r2, r12 = _block_in_eigenbasis(pops, r, cos, sin, sin2, cos2)
     r1_t = 2 * r12
-    r1_tt = 2 * (pops[3] - pops[0]) * cos2 - 4 * r * sin2
-    h = b + c - pops[1] * math.log(b) - pops[2] * math.log(c)
-    h_x = 2 * (b - pops[1]) / x
+    r1_tt = 2 * (p11 - p00) * cos2 - 4 * r * sin2
+    h = b + c - p01 * math.log(b) - p10 * math.log(c)
+    h_x = 2 * (b - p01) / x
     h_xx = 4 / (b + c) - h_x / x
-    x_v = np.array([e1 * sin2 / 2, -e2 * sin2 / 2, (e1 - e2) * cos2])
-    x_vv = np.array(
-        [
-            [e1 * sin2 / 2, 0, e1 * cos2],
-            [0, -e2 * sin2 / 2, -e2 * cos2],
-            [e1 * cos2, -e2 * cos2, -2 * (e1 - e2) * sin2],
-        ]
-    )
+    x0, x1, x2 = e1 * sin2 / 2, -e2 * sin2 / 2, (e1 - e2) * cos2  # x's gradient; x0, x1 recur on its Hessian's diagonal
     value = e1 + e2 - l1 * r1 - l2 * r2 + h
-    grad = np.array([e1 - r1, e2 - r2, -(l1 - l2) * r1_t]) + h_x * x_v
-    hess = np.array([[e1, 0, -r1_t], [0, e2, r1_t], [-r1_t, r1_t, -(l1 - l2) * r1_tt]])
-    hess = hess + h_x * x_vv + h_xx * np.outer(x_v, x_v)
-    if not (math.isfinite(value) and np.isfinite(hess).all()):  # subnormal populations
+    h01 = 0.0 + h_xx * (x0 * x1)  # base and x_vv vanish here, and their +0.0 turns a -0.0 product into +0.0
+    h02 = -r1_t + h_x * (e1 * cos2) + h_xx * (x0 * x2)
+    h12 = r1_t + h_x * (-e2 * cos2) + h_xx * (x1 * x2)
+    h00, h11 = e1 + h_x * x0 + h_xx * (x0 * x0), e2 + h_x * x1 + h_xx * (x1 * x1)
+    h22 = -(l1 - l2) * r1_tt + h_x * (-2 * (e1 - e2) * sin2) + h_xx * (x2 * x2)
+    # Every entry carries h_xx, which is infinite whenever h_x is (subnormal populations).
+    if not all(map(math.isfinite, (value, h00, h11, h22, h01, h02, h12))):
         return math.inf, None, None
-    return value, grad, hess
+    grad = np.array([e1 - r1 + h_x * x0, e2 - r2 + h_x * x1, -(l1 - l2) * r1_t + h_x * x2])
+    return value, grad, np.array([[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]])
 
 
-def _x_newton(pops: np.ndarray, r: float) -> tuple[tuple[float, float, float], int]:
+def _x_newton(pops: list[float], r: float) -> tuple[tuple[float, float, float], int]:
     """Minimize the reduced objective by damped Newton steps; returns ((l1, l2, t), steps).
 
     The objective is convex in (a, d, x) but not in the log-eigenvalue
@@ -420,26 +422,27 @@ def _x_newton(pops: np.ndarray, r: float) -> tuple[tuple[float, float, float], i
     # Start with |t| <= pi/4: near t = pi/2 a small coherence would be resolved
     # only to the absolute spacing of floats around pi/2.
     t = 0.5 * math.atan(x / half_gap) if half_gap else math.pi / 4
-    v = np.array([math.log(hi), math.log(lo), t] if half_gap >= 0 else [math.log(lo), math.log(hi), t])
+    v = (math.log(hi), math.log(lo), t) if half_gap >= 0 else (math.log(lo), math.log(hi), t)
     value, grad, hess = _x_objective(v, pops, r)
     steps, last_decrement = 0, math.inf
     while steps < _X_MAX_STEPS and grad is not None:
         steps += 1
         # Diagonal scaling first: near a tiny flank population the curvature
         # in t exceeds the others by up to 1e12.
-        scale = 1 / np.sqrt(np.maximum(np.abs(np.diag(hess)), np.finfo(float).tiny))
-        evals, evecs = np.linalg.eigh(hess * np.outer(scale, scale))
-        evals = np.maximum(np.abs(evals), 1e-12 * np.abs(evals).max())
-        step = -scale * (evecs @ ((evecs.T @ (scale * grad)) / evals))
-        decrement = -grad @ step
+        scale = 1 / np.sqrt(np.maximum(np.abs(hess.diagonal()), _TINY))
+        evals, evecs = np.linalg.eigh(hess * (scale[:, None] * scale))
+        size = np.abs(evals)
+        step = -scale * (evecs @ ((evecs.T @ (scale * grad)) / np.maximum(size, 1e-12 * size.max())))
+        decrement = -(grad @ step)
         # Quadratic convergence shrinks the decrement every step; once it
         # stops shrinking below 1e-12 it is rounding noise.
         if not decrement > 1e-24 or (decrement < 1e-12 and decrement >= last_decrement):
             break
         last_decrement = decrement
+        (l1, l2, t), (s1, s2, s3) = v, step.tolist()
         length = 1.0
         while length > 1e-12:
-            trial = v + length * step
+            trial = (l1 + length * s1, l2 + length * s2, t + length * s3)
             trial_value, trial_grad, trial_hess = _x_objective(trial, pops, r)
             # Below 1e-12 the decrease is lost in rounding; accept any feasible step.
             if trial_value <= value - 0.25 * length * decrement or (decrement < 1e-12 and trial_grad is not None):
@@ -448,7 +451,7 @@ def _x_newton(pops: np.ndarray, r: float) -> tuple[tuple[float, float, float], i
         else:
             break
         v, value, grad, hess = trial, trial_value, trial_grad, trial_hess
-    return (float(v[0]), float(v[1]), float(v[2])), steps
+    return v, steps
 
 
 def _x_product_max(g00: float, g01: float, g10: float, g11: float, w: float) -> float:
@@ -462,26 +465,19 @@ def _x_product_max(g00: float, g01: float, g10: float, g11: float, w: float) -> 
     mu that passes, to the last bit.
     """
     a1, b1, ww = g00 - g01, g10 - g11, w * w
-
-    def bounds(mu: float) -> bool:
-        u, v = mu - g01, mu - g11
-        if min(u, u - a1, v, v - b1) < 0:
-            return False
-        c2, c1, c0 = a1 * b1 + ww, -(u * b1 + v * a1 + ww), u * v
-        if min(c0, c0 + c1 + c2) < 0:
-            return False
-        return not (c2 > 0 and 0 < -c1 < 2 * c2 and c0 - c1 * c1 / (4 * c2) < 0)
-
+    c2 = a1 * b1 + ww
     lo = max(g00, g01, g10, g11)  # attained at b = |0> or |1>
     hi = lo + w / 2
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return hi
-        if bounds(mid):
-            hi = mid
-        else:
-            lo = mid
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        u, v = mid - g01, mid - g11
+        c1, c0 = -(u * b1 + v * a1 + ww), u * v
+        bounds = not (
+            min(u, u - a1, v, v - b1) < 0
+            or min(c0, c0 + c1 + c2) < 0
+            or (c2 > 0 and 0 < -c1 < 2 * c2 and c0 - c1 * c1 / (4 * c2) < 0)
+        )
+        lo, hi = (lo, mid) if bounds else (mid, hi)
+    return hi
 
 
 def _x_certificate(a: float, b: float, c: float, d: float, x: float, phase: float) -> SeparableAnsatz:
@@ -517,7 +513,7 @@ def _x_certificate(a: float, b: float, c: float, d: float, x: float, phase: floa
 def _er_x_state(rho: DensityMatrix) -> ERResult:
     """Certified interval for an exact X state (0 outside the X pattern); see the reduction notes above."""
     m = rho.matrix
-    pops = np.clip(np.diag(m).real, 0.0, None)
+    pops = np.clip(m.diagonal().real, 0.0, None).tolist()
     # The clamp only matters within the PSD tolerance of DensityMatrix.
     r, phase = min(float(abs(m[0, 3])), math.sqrt(pops[0] * pops[3])), float(np.angle(m[0, 3]))
     if r * r <= pops[1] * pops[2]:
@@ -540,12 +536,12 @@ def _er_x_state(rho: DensityMatrix) -> ERResult:
 
     # G = D ln(sigma)[rho] for the Frank-Wolfe bound, taken at the X state the
     # certificate assembles to within rounding.
-    g = _coherence_gradient(l1, l2, t, pops, r)
+    (g00, g01), (_, g11) = _coherence_gradient(l1, l2, t, pops, r).tolist()
     # A subnormal flank population can leave its certificate flank at 0.
     ratios = [(p / f if f else math.inf) if p else 0.0 for p, f in ((pops[1], b), (pops[2], c))]
     # A subnormal eigenvalue of sigma overflows G; no finite bound exists then.
-    entries = (g[0, 0], *ratios, g[1, 1], abs(g[0, 1]))
-    top = _x_product_max(*entries) if np.isfinite(entries).all() else math.inf  # inf keeps only E_R >= 0
+    entries = (g00, *ratios, g11, abs(g01))
+    top = _x_product_max(*entries) if all(map(math.isfinite, entries)) else math.inf  # inf keeps only E_R >= 0
     return _frank_wolfe_interval(rho, certificate, certificate.assemble(), steps, top)
 
 

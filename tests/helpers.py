@@ -6,13 +6,15 @@ independent references on top of its public pieces.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from entshape import ree
 from entshape.channels import QuantumChannel, transmit_bell_pair
 from entshape.dynamics import fidelity_decay
-from entshape.entanglement import ERResult, er_bell_fidelity
+from entshape.entanglement import ERResult, SeparableAnsatz, _ket, er_bell_fidelity
 from entshape.qstate import BELL_VECTORS, DensityMatrix, _clamped_spectrum, partial_transpose
 
 PRUNE_TOL = 1e-12
@@ -110,3 +112,53 @@ def delta_er(p: float, p_prime: float, f0: float, horizon: float) -> float:
     f_slow = fidelity_decay(f0, p_prime, horizon)
     f_fast = fidelity_decay(f0, p, horizon)
     return er_bell_fidelity(f_slow) - er_bell_fidelity(f_fast)
+
+
+def x_objective_array_form(v, pops, r: float) -> tuple:
+    """ree._x_objective built from arrays, whose bits the plain-float form must keep.
+
+    Each derivative is the array sum base + h_x x_vv + h_xx outer(x_v, x_v).
+    An infinite h_x times a zero entry of x_vv gives NaN with a warning,
+    which is silenced: the NaN fails the finiteness test as it should.
+    """
+    l1, l2, t = v
+    if max(l1, l2) > 50:
+        return math.inf, None, None
+    e1, e2 = math.exp(l1), math.exp(l2)
+    sin2, cos2 = math.sin(2 * t), math.cos(2 * t)
+    x = (e1 - e2) * sin2 / 2
+    b, c = ree._flanks(x, pops[1], pops[2])
+    if not (x > 0 and b > 0 and c > 0):
+        return math.inf, None, None
+    r1, r2, r12 = ree._block_in_eigenbasis(pops, r, math.cos(t), math.sin(t), sin2, cos2)
+    r1_t = 2 * r12
+    r1_tt = 2 * (pops[3] - pops[0]) * cos2 - 4 * r * sin2
+    h = b + c - pops[1] * math.log(b) - pops[2] * math.log(c)
+    h_x = 2 * (b - pops[1]) / x
+    h_xx = 4 / (b + c) - h_x / x
+    x_v = np.array([e1 * sin2 / 2, -e2 * sin2 / 2, (e1 - e2) * cos2])
+    x_vv = np.array(
+        [
+            [e1 * sin2 / 2, 0, e1 * cos2],
+            [0, -e2 * sin2 / 2, -e2 * cos2],
+            [e1 * cos2, -e2 * cos2, -2 * (e1 - e2) * sin2],
+        ]
+    )
+    value = e1 + e2 - l1 * r1 - l2 * r2 + h
+    with np.errstate(all="ignore"):
+        grad = np.array([e1 - r1, e2 - r2, -(l1 - l2) * r1_t]) + h_x * x_v
+        hess = np.array([[e1, 0, -r1_t], [0, e2, r1_t], [-r1_t, r1_t, -(l1 - l2) * r1_tt]])
+        hess = hess + h_x * x_vv + h_xx * np.outer(x_v, x_v)
+    if not (math.isfinite(value) and np.isfinite(hess).all()):
+        return math.inf, None, None
+    return value, grad, hess
+
+
+def assemble_by_kron(ansatz: SeparableAnsatz) -> np.ndarray:
+    """SeparableAnsatz.assemble's matrix with each product ket built by np.kron."""
+    m = np.zeros((4, 4), dtype=complex)
+    for w, ((ta, pa), (tb, pb)) in zip(ansatz.weights, ansatz.product_states):
+        v = np.kron(_ket(ta, pa), _ket(tb, pb))
+        m += w * np.outer(v, v.conj())
+    m = 0.5 * (m + m.conj().T)
+    return m / np.trace(m).real

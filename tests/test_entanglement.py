@@ -26,7 +26,15 @@ from entshape.qstate import (
     werner,
 )
 from entshape.ree import _er_ppt_barrier
-from helpers import bell_state, er_pure, maximally_mixed, random_density_matrix, random_pure_state
+from helpers import (
+    assemble_by_kron,
+    bell_state,
+    er_pure,
+    maximally_mixed,
+    random_density_matrix,
+    random_pure_state,
+    x_objective_array_form,
+)
 from ree_oracle import inverse_ree_pair
 
 
@@ -314,6 +322,53 @@ def test_random_x_states_give_ordered_certified_intervals(pops, fraction, phase,
     res = er_numeric(rho)
     check_x_result(rho, res)
     assert res.converged
+
+
+def same_bits(a, b):
+    """Equal floats to the last bit, signs of zero included; None only against None."""
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+LOG_EIGENVALUE = st.floats(-40.0, 5.0) | st.floats(-800.0, 60.0)
+POPULATION = st.floats(0.0, 1.0) | st.sampled_from([0.0, 5e-324, 1e-310, 1e-160, 1e-16])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    v=st.tuples(LOG_EIGENVALUE, LOG_EIGENVALUE, st.floats(-4.0, 4.0) | st.floats(-1e-300, 1e-300)),
+    pops=st.lists(POPULATION, min_size=4, max_size=4).filter(lambda p: sum(p) > 0),
+    fraction=st.floats(0.0, 1.0),
+)
+@example(v=(0.0, -1.0, 1e-320), pops=[0.4, 0.1, 0.1, 0.4], fraction=0.75)  # h_x = -inf: the array sum has a NaN
+@example(v=(0.0, -1.0, 1e-160), pops=[0.4, 0.2, 0.1, 0.3], fraction=0.75)  # finite h_x, infinite h_xx
+@example(v=(51.0, 0.0, 0.5), pops=[0.4, 0.2, 0.1, 0.3], fraction=0.75)  # outside l <= 50
+@example(v=(-1.0, 0.0, 0.5), pops=[0.4, 0.2, 0.1, 0.3], fraction=0.75)  # x < 0
+def test_x_objective_matches_array_form_bit_for_bit(v, pops, fraction):
+    p = [q / sum(pops) for q in pops]
+    r = fraction * math.sqrt(p[0] * p[3])
+    got, want = ree._x_objective(v, p, r), x_objective_array_form(v, p, r)
+    assert float(got[0]).hex() == float(want[0]).hex()
+    assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
+
+
+def test_x_objective_matches_array_form_along_newton_runs(monkeypatch):
+    # Every point the Newton steps and line searches visit, on the X cases
+    # and on a tiny flank that stalls them.
+    solve, seen = ree._x_objective, []
+
+    def checked(v, pops, r):
+        got, want = solve(v, pops, r), x_objective_array_form(v, pops, r)
+        assert float(got[0]).hex() == float(want[0]).hex()
+        assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
+        seen.append(got[1] is None)
+        return got
+
+    monkeypatch.setattr(ree, "_x_objective", checked)
+    for rho in [*X_CASES.values(), x_state([0.5, 1e-13, 0.0, 0.5], 0.15)]:
+        ree._er_x_state(rho)
+    assert len(seen) > 50 and any(seen)
 
 
 def circle_case(seed, c, size, coupling):
@@ -801,6 +856,23 @@ class TestSeparableAnsatz:
         assert abs(np.trace(sigma.matrix).real - 1) < 1e-12
         expected = np.diag([0.5, 0, 0, 0.5]).astype(complex)
         assert np.abs(sigma.matrix - expected).max() < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        atoms=st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0),
+                st.tuples(st.floats(0.0, math.pi), st.floats(-math.pi, math.pi)),
+                st.tuples(st.floats(0.0, math.pi), st.floats(-math.pi, math.pi)),
+            ),
+            min_size=1,
+            max_size=6,
+        ).filter(lambda atoms: sum(w for w, _, _ in atoms) > 0)
+    )
+    def test_assemble_matches_kron_build_bit_for_bit(self, atoms):
+        total = sum(w for w, _, _ in atoms)
+        ansatz = SeparableAnsatz(tuple(w / total for w, _, _ in atoms), tuple((a, b) for _, a, b in atoms))
+        assert ansatz.assemble().matrix.tobytes() == assemble_by_kron(ansatz).tobytes()
 
     @pytest.mark.parametrize("modulus", [0.0, 1e-300, 1e-13, 1e-8, 0.5, 1.0])
     def test_bloch_angles_round_trip(self, modulus):
