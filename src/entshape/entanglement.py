@@ -166,7 +166,7 @@ def er_numeric(rho: DensityMatrix) -> ERResult:
         raise ValueError(f"numeric minimization expects a qubit pair, got dims {rho.dims}")
     from . import ree  # the solver compiles on the first numeric call, never for closed forms alone
 
-    result = ree._er_x_frame(rho) if rho.matrix[~ree._X_PATTERN].any() else ree._er_x_state(rho)
+    result = ree._er_x_frame(rho) if rho.matrix[ree._OFF_X].any() else ree._er_x_state(rho)
     if result is not None and result.converged:
         return result
     return ree._er_ppt_barrier(rho)

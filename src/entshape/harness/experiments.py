@@ -293,11 +293,13 @@ def run_selfcheck(cfg: ExperimentConfig) -> ExperimentResult:
 
     rng = np.random.default_rng(cfg.master_seed)
     ok_channel = True
+    # Restates the DensityMatrix constructor's trace and PSD checks on the
+    # channel's output; the PSD test reads the spectrum the constructor kept.
     for _ in range(25):
         p = float(rng.uniform(0, 0.75))
         rho = transmit_bell_pair(depolarizing(p))
         tr_ok = abs(float(np.trace(rho.matrix).real) - 1) < 1e-10
-        psd_ok = float(np.linalg.eigvalsh(rho.matrix).min()) > -1e-10
+        psd_ok = float(rho.spectrum[0]) > -1e-10
         ok_channel = ok_channel and tr_ok and psd_ok
     checks.append(("channel_trace_psd", ok_channel, "25 random depolarizing applications"))
 

@@ -28,7 +28,7 @@ does give ``werner(1 - p)``; the harness calls that reading ``paper``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,15 +76,18 @@ class DensityMatrix:
 
     Construction validates Hermiticity (1e-10 entrywise), trace (1e-10) and
     positivity (minimum eigenvalue >= -1e-10); instances are immutable.
+    ``spectrum`` keeps the ascending ``eigvalsh`` of ``matrix`` that the
+    positivity test computed, read-only.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
+    spectrum: np.ndarray = field(repr=False)
 
     def __init__(self, matrix, dims: Sequence[int] = (2, 2)):
-        m = as_operator(matrix)
+        m = _frozen_copy(as_operator(matrix))
         dims = tuple(int(d) for d in dims)
-        d = int(np.prod(dims))
+        d = math.prod(dims)
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
         if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
@@ -92,10 +95,13 @@ class DensityMatrix:
         trace = np.trace(m)
         if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
             raise ValueError("matrix trace differs from 1")
-        if np.linalg.eigvalsh(m).min() < -PSD_TOL:
+        spectrum = np.linalg.eigvalsh(m)
+        if spectrum[0] < -PSD_TOL:
             raise ValueError("matrix has a negative eigenvalue beyond tolerance")
-        object.__setattr__(self, "matrix", _frozen_copy(m))
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -200,11 +206,6 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
     return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
-def _clamped_spectrum(m: np.ndarray) -> np.ndarray:
-    vals = np.linalg.eigvalsh(m)
-    return vals[vals > SUPPORT_TOL]
-
-
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr[rho (log2 rho - log2 sigma)]; +inf when rho leaves sigma's support."""
     if rho.dim != sigma.dim:
@@ -215,7 +216,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if np.any(diag[null] > SUPPORT_TOL):
         return math.inf
     cross = float(np.sum(diag[~null] * np.log2(svals[~null])))
-    rvals = _clamped_spectrum(rho.matrix)
+    rvals = rho.spectrum[rho.spectrum > SUPPORT_TOL]
     return float(np.sum(rvals * np.log2(rvals))) - cross
 
 

@@ -319,6 +319,7 @@ def _er_ppt_barrier(rho: DensityMatrix) -> ERResult:
 X_STATE_TOL = 1e-12  # largest entry outside the X pattern, in some frame, that the front end twirls away
 _X_PATTERN = np.eye(4, dtype=bool)
 _X_PATTERN[0, 3] = _X_PATTERN[3, 0] = True
+_OFF_X = ~_X_PATTERN
 _X_MAX_STEPS = 100
 _TINY = np.finfo(float).tiny
 _TWIRL_ANGLES = (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
@@ -429,20 +430,36 @@ def _x_newton(pops: list[float], r: float) -> tuple[tuple[float, float, float], 
         steps += 1
         # Diagonal scaling first: near a tiny flank population the curvature
         # in t exceeds the others by up to 1e12.
-        scale = 1 / np.sqrt(np.maximum(np.abs(hess.diagonal()), _TINY))
-        evals, evecs = np.linalg.eigh(hess * (scale[:, None] * scale))
-        size = np.abs(evals)
-        step = -scale * (evecs @ ((evecs.T @ (scale * grad)) / np.maximum(size, 1e-12 * size.max())))
-        decrement = -(grad @ step)
+        # Elementwise products, quotients and maxima round alike in numpy and
+        # in Python floats, so they run on floats. eigh, both matrix-vector
+        # products and grad @ step stay in numpy: BLAS may fuse multiply-adds.
+        (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = hess.tolist()
+        g0, g1, g2 = grad.tolist()
+        s0 = 1 / math.sqrt(max(abs(h00), _TINY))
+        s1 = 1 / math.sqrt(max(abs(h11), _TINY))
+        s2 = 1 / math.sqrt(max(abs(h22), _TINY))
+        # h_ij * (s_i * s_j): (h_ij * s_i) * s_j rounds differently
+        scaled = [
+            [h00 * (s0 * s0), h01 * (s0 * s1), h02 * (s0 * s2)],
+            [h10 * (s1 * s0), h11 * (s1 * s1), h12 * (s1 * s2)],
+            [h20 * (s2 * s0), h21 * (s2 * s1), h22 * (s2 * s2)],
+        ]
+        evals, evecs = np.linalg.eigh(np.array(scaled))
+        z0, z1, z2 = map(abs, evals.tolist())
+        floor = 1e-12 * max(z0, z1, z2)
+        q0, q1, q2 = (evecs.T @ np.array([s0 * g0, s1 * g1, s2 * g2])).tolist()
+        b0, b1, b2 = (evecs @ np.array([q0 / max(z0, floor), q1 / max(z1, floor), q2 / max(z2, floor)])).tolist()
+        step = (-s0 * b0, -s1 * b1, -s2 * b2)
+        decrement = -(grad @ np.array(step))
         # Quadratic convergence shrinks the decrement every step; once it
         # stops shrinking below 1e-12 it is rounding noise.
         if not decrement > 1e-24 or (decrement < 1e-12 and decrement >= last_decrement):
             break
         last_decrement = decrement
-        (l1, l2, t), (s1, s2, s3) = v, step.tolist()
+        (l1, l2, t), (d1, d2, d3) = v, step
         length = 1.0
         while length > 1e-12:
-            trial = (l1 + length * s1, l2 + length * s2, t + length * s3)
+            trial = (l1 + length * d1, l2 + length * d2, t + length * d3)
             trial_value, trial_grad, trial_hess = _x_objective(trial, pops, r)
             # Below 1e-12 the decrease is lost in rounding; accept any feasible step.
             if trial_value <= value - 0.25 * length * decrement or (decrement < 1e-12 and trial_grad is not None):
@@ -513,9 +530,12 @@ def _x_certificate(a: float, b: float, c: float, d: float, x: float, phase: floa
 def _er_x_state(rho: DensityMatrix) -> ERResult:
     """Certified interval for an exact X state (0 outside the X pattern); see the reduction notes above."""
     m = rho.matrix
-    pops = np.clip(m.diagonal().real, 0.0, None).tolist()
-    # The clamp only matters within the PSD tolerance of DensityMatrix.
-    r, phase = min(float(abs(m[0, 3])), math.sqrt(pops[0] * pops[3])), float(np.angle(m[0, 3]))
+    # The clamp only matters within the PSD tolerance of DensityMatrix. max(0.0, p), not
+    # max(p, 0.0), so that a -0.0 population reads 0.0.
+    pops = [max(0.0, p) for p in m.diagonal().real.tolist()]
+    # np.arctan2, not math.atan2: the two differ in the last bit on about 7% of random phases.
+    coherence = m[0, 3]
+    r, phase = min(float(abs(coherence)), math.sqrt(pops[0] * pops[3])), float(np.arctan2(coherence.imag, coherence.real))
     if r * r <= pops[1] * pops[2]:
         # PPT, so separable: sigma = rho, and E_R >= 0 closes the interval.
         certificate = _x_certificate(*pops, r, phase)
@@ -593,7 +613,7 @@ def _er_x_frame(rho: DensityMatrix) -> ERResult | None:
     rot_a = rot_b = np.eye(4)[None]
     states = rho.matrix[None]
     for t in (coords[1:, 1:], coords[1:, 1:] + np.outer(coords[1:, 0], coords[0, 1:]), None):
-        found = np.flatnonzero(np.abs(states[:, ~_X_PATTERN]).max(axis=1) <= X_STATE_TOL)
+        found = np.flatnonzero(np.abs(states[:, _OFF_X]).max(axis=1) <= X_STATE_TOL)
         if found.size:
             break
         if t is None:

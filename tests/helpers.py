@@ -15,7 +15,7 @@ from entshape import ree
 from entshape.channels import QuantumChannel, transmit_bell_pair
 from entshape.dynamics import fidelity_decay
 from entshape.entanglement import ERResult, SeparableAnsatz, _ket, er_bell_fidelity
-from entshape.qstate import BELL_VECTORS, DensityMatrix, _clamped_spectrum, partial_transpose
+from entshape.qstate import BELL_VECTORS, SUPPORT_TOL, DensityMatrix, partial_transpose
 
 PRUNE_TOL = 1e-12
 
@@ -52,8 +52,8 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum lambda log2 lambda over the spectrum, with 0 log 0 := 0."""
-    vals = _clamped_spectrum(rho.matrix)
+    """-sum lambda log2 lambda over the kept spectrum, with 0 log 0 := 0."""
+    vals = rho.spectrum[rho.spectrum > SUPPORT_TOL]
     return float(-np.sum(vals * np.log2(vals)))
 
 
@@ -112,6 +112,19 @@ def delta_er(p: float, p_prime: float, f0: float, horizon: float) -> float:
     f_slow = fidelity_decay(f0, p_prime, horizon)
     f_fast = fidelity_decay(f0, p, horizon)
     return er_bell_fidelity(f_slow) - er_bell_fidelity(f_fast)
+
+
+def relative_entropy_by_fresh_eigvalsh(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """qstate.relative_entropy with rho's spectrum recomputed by eigvalsh instead of read from rho.spectrum."""
+    svals, svecs = np.linalg.eigh(sigma.matrix)
+    diag = np.einsum("ij,jk,ki->i", svecs.conj().T, rho.matrix, svecs).real
+    null = svals <= SUPPORT_TOL
+    if np.any(diag[null] > SUPPORT_TOL):
+        return math.inf
+    cross = float(np.sum(diag[~null] * np.log2(svals[~null])))
+    rvals = np.linalg.eigvalsh(rho.matrix)
+    rvals = rvals[rvals > SUPPORT_TOL]
+    return float(np.sum(rvals * np.log2(rvals))) - cross
 
 
 def x_objective_array_form(v, pops, r: float) -> tuple:

@@ -612,6 +612,18 @@ class TestCLI:
         assert proc.returncode == 0, proc.stderr
         assert "er_numeric" in proc.stdout
 
+    def test_er_summary_lines(self, tmp_path, capsys):
+        # In process and without --quiet, so the summary printer runs.
+        from entshape.harness.cli import main
+
+        assert main(["er", "--state", "werner", "--param", "0.83", "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "experiment: er  ok: True"
+        assert lines[1].startswith("  state=werner  param=0.83  er_numeric=0.449458  er_numeric_lower=0.449458  ")
+        assert "converged=True" in lines[1].split()
+        assert sorted(lines[2:]) == sorted(f"wrote {path}" for path in tmp_path.iterdir())
+        assert len(lines) == 3
+
     @pytest.mark.parametrize(
         "state, param",
         # werner_channel is gone: the depolarizing family names the same state.

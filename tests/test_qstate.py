@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entshape.channels import depolarizing, transmit_bell_pair
+from entshape.channels import amplitude_damping, depolarizing, transmit_bell_pair
 from entshape.qstate import (
     BellDiagonalState,
     DensityMatrix,
@@ -21,6 +23,7 @@ from helpers import (
     partial_trace,
     random_density_matrix,
     random_pure_state,
+    relative_entropy_by_fresh_eigvalsh,
     tensor,
     von_neumann_entropy,
 )
@@ -60,6 +63,12 @@ class TestDensityMatrix:
         rho = maximally_mixed((2,))
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
+
+    def test_spectrum_is_kept_and_read_only(self):
+        rho = random_density_matrix(np.random.default_rng(5), (2, 2))
+        assert rho.spectrum.tobytes() == np.linalg.eigvalsh(rho.matrix).tobytes()
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 2.0
 
     def test_random_states_pass_invariants(self):
         rng = np.random.default_rng(11)
@@ -255,6 +264,26 @@ class TestRelativeEntropy:
                 before = relative_entropy(rho, sigma)
                 after = relative_entropy(apply(channel, rho), apply(channel, sigma))
                 assert after <= before + 1e-9
+
+
+# Rank-deficient states, whose zero eigenvalues the support cut drops, and
+# random states of every rank.
+RANK_DEFICIENT = {
+    "bell": lambda: bell_pair(),
+    "product": lambda: ket_dm([1, 0, 0, 0], (2, 2)),
+    "damping_1": lambda: transmit_bell_pair(amplitude_damping(1.0)),
+}
+STATES = st.sampled_from(sorted(RANK_DEFICIENT)).map(lambda name: RANK_DEFICIENT[name]()) | st.builds(
+    lambda seed, rank: random_density_matrix(np.random.default_rng(seed), (2, 2), rank),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rho=STATES, sigma=STATES)
+def test_relative_entropy_on_kept_spectrum_matches_fresh_eigvalsh_bit_for_bit(rho, sigma):
+    assert relative_entropy(rho, sigma).hex() == relative_entropy_by_fresh_eigvalsh(rho, sigma).hex()
 
 
 class TestPurityMixedness:
