@@ -1,5 +1,10 @@
 """The ``table1`` and ``table2`` runners: comparison rows and claim checks.
 
+Each claim check is a record, claim key -> (computed value, method text[,
+extra fields]). Both tables share the eight static records and one
+nearest-reading rule for their post-distillation claims; each adds its own
+shaping records and turns its records into entries at one call site.
+
 :func:`experiments.run` imports this module only for those two experiments,
 so the other subcommands never compile it. Every row is exact, so both
 tables give the same result under every seed.
@@ -8,7 +13,7 @@ tables give the same result under every seed.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable
 
 import numpy as np
 
@@ -24,13 +29,13 @@ from ..dynamics import er_production_rate
 from ..entanglement import er_bell_diagonal, er_numeric
 from ..protocols import dejmps_recursive, hashing_rate
 from ..qstate import BellDiagonalState, bell_projection, binary_entropy
-from .claims import claim
+from .claims import CLAIMS, claim
 from .config import CONVENTIONS, DEFAULT_P_PRIME, SIDES, ExperimentConfig, readings
 from .experiments import ExperimentResult, _per_transit_factor, er_pair, input_pair_state
 from .report import discrepancy_entry
 
 
-def calibrate_p_prime(target_er: float, bridge: str, geometry: str, p_raw: float) -> dict:
+def calibrate_p_prime(target_er: float, bridge: str, geometry: str) -> dict:
     """Effective noise parameter whose per-pair entanglement equals the target.
 
     The pair of :func:`input_pair_state` at p' is ``werner(shrink)``, with
@@ -38,9 +43,9 @@ def calibrate_p_prime(target_er: float, bridge: str, geometry: str, p_raw: float
     1 - H2(x): ``oracle`` (the closed form) at the Bell weight
     x = (1 + 3 shrink)/4, ``paper`` (the fidelity form, unclamped) at
     x = (1 + shrink)/2. So one bisection on x in [1/2, 1] serves every
-    reading, p' follows in closed form, and no state is built. ``feasible``
-    records whether compression from the raw parameter reaches p'
-    (0 < p' <= p); infeasible calibrations are kept and flagged, not hidden.
+    reading, p' follows in closed form, and no state is built. Whether
+    compression from p reaches p' is the calibrated row's
+    ``dd_reachable_from_p``.
     """
     factor = _per_transit_factor(bridge)
     if not 0 <= target_er <= 1:
@@ -55,11 +60,7 @@ def calibrate_p_prime(target_er: float, bridge: str, geometry: str, p_raw: float
         x = 0.5 * (lo + hi)
     shrink = 2 * x - 1 if bridge == "paper" else (4 * x - 1) / 3
     p_prime = 0.75 * (1 - shrink ** (1 if geometry == "one" else 0.5)) / factor
-    return {
-        "p_prime": p_prime,
-        "feasible": 0 < p_prime <= p_raw,
-        "achieved_er": 1 - binary_entropy(x),
-    }
+    return {"p_prime": p_prime, "achieved_er": 1 - binary_entropy(x)}
 
 
 def _distillation_row(cfg: ExperimentConfig, state: BellDiagonalState, bridge: str, geometry: str) -> dict:
@@ -118,163 +119,145 @@ def _pes_row(cfg: ExperimentConfig, bridge: str, geometry: str, p_prime: float, 
     }
 
 
-def _static_claim_entries() -> list[dict]:
-    """The always-reported claim checks that need no experiment context."""
-    entries = []
+def _static_records() -> dict[str, tuple]:
+    """The eight always-reported claim records, which need no experiment context."""
     h2 = binary_entropy(0.915)
-    entries.append(discrepancy_entry(claim("h2_0915"), h2, "direct evaluation"))
-    entries.append(
-        discrepancy_entry(
-            claim("er_werner_083"),
+    oracle = input_pair_state("oracle", "one", 0.2)
+    paper = input_pair_state("paper", "one", 0.2)
+    # Pulse averaging over the full Pauli set erases the input instead of
+    # compressing the noise parameter; the conjugated twirl leaves the
+    # depolarizing channel unchanged.
+    probe = transmit_bell_pair(dd_effective_pulse_average(depolarizing(0.2)))
+    distance_to_flat = float(np.abs(probe.matrix - np.kron(np.eye(2) / 2, np.eye(2) / 2)).max())
+    return {
+        "h2_0915": (h2, "direct evaluation"),
+        "er_werner_083": (
             1 - h2,
             "fidelity-form closed form at F = 0.83 with correct arithmetic",
-            extra={"oracle_reading": er_bell_diagonal(input_pair_state("oracle", "one", 0.17)).value},
-        )
-    )
-    entries.append(
-        discrepancy_entry(
-            claim("hashing_rate_p02"),
-            hashing_rate(0.2),
-            "direct evaluation; negative, so not achievable as stated",
-        )
-    )
-    entries.append(
-        discrepancy_entry(
-            claim("eb_threshold"),
+            {"oracle_reading": er_bell_diagonal(input_pair_state("oracle", "one", 0.17)).value},
+        ),
+        "hashing_rate_p02": (hashing_rate(0.2), "direct evaluation; negative, so not achievable as stated"),
+        "eb_threshold": (
             eb_threshold_depolarizing(),
             "closed form: the Choi state's partial transpose has eigenvalues 1/2 - c_k, "
             "so it is PPT (separable for two qubits) iff its Phi+ weight 1 - p is at "
             "most 1/2, i.e. from p = 1/2",
-        )
-    )
-    entries.append(
-        discrepancy_entry(
-            claim("dd_limit"),
+        ),
+        "dd_limit": (
             0.2 * dd_compression(1.0, math.inf),
             "exact high-frequency limit of the compression formula from p = 0.2: "
             "exp(-gamma_sd / f_dd) -> 1 as f_dd -> infinity, so p' -> p, not p' -> 0",
-        )
-    )
-    oracle = input_pair_state("oracle", "one", 0.2)
-    paper = input_pair_state("paper", "one", 0.2)
-    entries.append(
-        discrepancy_entry(
-            claim("fidelity_bridge"),
+        ),
+        "fidelity_bridge": (
             oracle.fidelity,
             "Bell fidelity of the exact channel output at p = 0.2 is 1 - p = 0.8, but "
             f"the F-mixture state at F = 0.8 has fidelity {paper.fidelity:.4f}; the two "
             "parameterizations agree only at p = 0",
-        )
-    )
-    # Pulse averaging over the full Pauli set erases the input instead of
-    # compressing the noise parameter; the conjugated twirl leaves the
-    # depolarizing channel unchanged.
-    avg = dd_effective_pulse_average(depolarizing(0.2))
-    probe = transmit_bell_pair(avg)
-    distance_to_flat = float(np.abs(probe.matrix - np.kron(np.eye(2) / 2, np.eye(2) / 2)).max())
-    entries.append(
-        discrepancy_entry(
-            claim("pulse_average_compression"),
+        ),
+        "pulse_average_compression": (
             distance_to_flat,
             "max deviation of the pulse-averaged depolarizing output from I/2 on the "
             "transmitted side is zero: the displayed average destroys the state rather "
             "than compressing p; the conjugated twirl leaves a Pauli-covariant channel "
             "unchanged, so neither reading yields p' < p",
-        )
-    )
-    entries.append(
-        discrepancy_entry(
-            claim("rate_sign"),
+        ),
+        "rate_sign": (
             er_production_rate(0.8, 0.2),
             "closed-form rate at F = 0.8, p = 0.2 is negative; the derived formula and "
             "the stated sign disagree, and the implemented invariant follows the formula",
-        )
-    )
-    return entries
+        ),
+    }
 
 
-def _closest_reading(values: Iterable[tuple], claimed: float) -> tuple:
-    """The (label, value) reading nearest the claimed number; the first one on a tie."""
-    return min(values, key=lambda reading: abs(reading[1] - claimed))
+def _nearest_reading_records(
+    table: str,
+    post: dict[str, dict],
+    method: Callable[[str, dict], str],
+    rate_method: Callable[[dict], str],
+) -> dict[str, tuple]:
+    """A table's post-distillation claim records, each read where it is nearest its claim.
+
+    ``post`` maps each reading label to its distillation row. Each of
+    ``<table>_success``, ``<table>_er_global`` and ``<table>_er_selected`` that
+    the registry holds takes its column at the reading nearest the claimed
+    number, the first reading of ``post`` on a tie, worded by
+    ``method(label, values)``. ``<table>_rate`` takes the nearest of both rate
+    definitions of every reading, worded by ``rate_method(rates)``.
+    """
+    records = {}
+    for name, column in [
+        ("success", "success_probability_exact"),
+        ("er_global", "er_global_oracle"),
+        ("er_selected", "er_selected_oracle"),
+    ]:
+        key = f"{table}_{name}"
+        if key in CLAIMS:
+            values = {label: row[column] for label, row in post.items()}
+            label = min(values, key=lambda reading: abs(values[reading] - claim(key).value))
+            records[key] = (values[label], method(label, values))
+    rates = {
+        label: (row["rate_selected_per_pair"], row["rate_success_times_global"])
+        for label, row in post.items()
+    }
+    claimed = claim(f"{table}_rate").value
+    nearest = min((v for pair in rates.values() for v in pair), key=lambda v: abs(v - claimed))
+    records[f"{table}_rate"] = (nearest, rate_method(rates))
+    return records
 
 
 def run_table1(cfg: ExperimentConfig) -> ExperimentResult:
     result = ExperimentResult("table1", cfg)
     target = claim("table1_pes").value
     pinned = cfg.p_prime if cfg.p_prime is not None else DEFAULT_P_PRIME
-    post, pes, calibs = {}, [], {}
+    post, calibrated, pes = {}, {}, []
     for bridge in readings(cfg.convention, CONVENTIONS):
         for geometry in readings(cfg.sides, SIDES):
+            label = f"{bridge}/{geometry}"
             state = input_pair_state(bridge, geometry, cfg.p)
-            post[bridge, geometry] = _distillation_row(cfg, state, bridge, geometry)
-            calib = calibs[bridge, geometry] = calibrate_p_prime(target, bridge, geometry, cfg.p)
-            calibrated = {
+            post[label] = _distillation_row(cfg, state, bridge, geometry)
+            calib = calibrate_p_prime(target, bridge, geometry)
+            calibrated[label] = {
                 **_pes_row(cfg, bridge, geometry, calib["p_prime"], "pre_channel_shaping_calibrated"),
                 "calibrated_to": target,
                 "calibration_achieved_er": calib["achieved_er"],
             }
-            shaped = [calibrated, _pes_row(cfg, bridge, geometry, pinned, "pre_channel_shaping")]
-            result.rows += [post[bridge, geometry], *shaped]
+            shaped = [calibrated[label], _pes_row(cfg, bridge, geometry, pinned, "pre_channel_shaping")]
+            result.rows += [post[label], *shaped]
             pes += shaped
 
-    result.discrepancies.extend(_static_claim_entries())
-    best = {}
-    for key, column in [
-        ("table1_success", "success_probability_exact"),
-        ("table1_er_global", "er_global_oracle"),
-        ("table1_er_selected", "er_selected_oracle"),
-    ]:
-        values = {label: r[column] for label, r in post.items()}
-        (bridge, geometry), best[key] = _closest_reading(values.items(), claim(key).value)
-        result.discrepancies.append(
-            discrepancy_entry(
-                claim(key),
-                best[key],
-                f"closest documented convention: {bridge}, sides = {geometry}; "
-                f"all readings: { {f'{c}/{s}': round(v, 6) for (c, s), v in values.items()} }",
-            )
-        )
-    rates = {
-        label: (r["rate_selected_per_pair"], r["rate_success_times_global"])
-        for label, r in post.items()
-    }
-    flat = ((label, v) for label, pair in rates.items() for v in pair)
-    _, closest_rate = _closest_reading(flat, claim("table1_rate").value)
-    result.discrepancies.append(
-        discrepancy_entry(
-            claim("table1_rate"),
-            closest_rate,
-            "both computed definitions reported: success x selected E_R / pairs, and "
-            f"success x global E_R; per convention: { {f'{c}/{s}': (round(a, 6), round(b, 6)) for (c, s), (a, b) in rates.items()} }",
-        )
+    distillation = _nearest_reading_records(
+        "table1",
+        post,
+        lambda label, values: f"closest documented convention: {label.replace('/', ', sides = ')}; "
+        f"all readings: { {k: round(v, 6) for k, v in values.items()} }",
+        lambda rates: "both computed definitions reported: success x selected E_R / pairs, and "
+        f"success x global E_R; per convention: { {k: (round(a, 6), round(b, 6)) for k, (a, b) in rates.items()} }",
     )
-    feasible = [v["achieved_er"] for v in calibs.values() if v["feasible"]]
+    reachable = [r["calibration_achieved_er"] for r in calibrated.values() if r["dd_reachable_from_p"]]
     summary = {
-        f"{b}/{g}": {"p_prime": round(v["p_prime"], 6), "feasible_from_p": v["feasible"]}
-        for (b, g), v in calibs.items()
+        label: {"p_prime": round(r["p_prime"], 6), "feasible_from_p": r["dd_reachable_from_p"]}
+        for label, r in calibrated.items()
     }
-    result.discrepancies.append(
-        discrepancy_entry(
-            claim("pes_calibration"),
-            feasible[0] if feasible else math.nan,
+    best_pes = max(r["er_per_pair_oracle"] for r in pes)
+    floor_post = min(r["er_global_oracle"] for r in post.values())
+    matched_post = distillation["table1_er_global"][0]
+    ratio = best_pes / matched_post if matched_post > 0 else math.inf
+    records = {
+        **_static_records(),
+        **distillation,
+        "pes_calibration": (
+            reachable[0] if reachable else math.nan,
             f"per-pair entanglement reached by the feasible calibration; calibrated "
             f"effective parameters per convention: {summary}; conventions whose "
             f"calibration exceeds p = {cfg.p} cannot be reached by compression",
-        )
-    )
-
-    best_pes = max(r["er_per_pair_oracle"] for r in pes)
-    floor_post = min(r["er_global_oracle"] for r in post.values())
-    matched_post = best["table1_er_global"]
-    ratio = best_pes / matched_post if matched_post > 0 else math.inf
-    result.discrepancies.append(
-        discrepancy_entry(
-            claim("ratio_14"),
+        ),
+        "ratio_14": (
             ratio,
             "achieved ratio of best shaping per-pair E_R to the claim-closest "
             f"distillation global E_R (post floor across conventions: {floor_post:.6f})",
-        )
-    )
+        ),
+    }
+    result.discrepancies += [discrepancy_entry(claim(key), *record) for key, record in records.items()]
     result.rows.append(
         {
             "protocol": "separation_summary",
@@ -327,49 +310,31 @@ def run_table2(cfg: ExperimentConfig) -> ExperimentResult:
         }
     )
 
-    for key, column in [
-        ("table2_success", "success_probability_exact"),
-        ("table2_er_global", "er_global_oracle"),
-    ]:
-        values = {geometry: r[column] for geometry, r in post.items()}
-        _, closest = _closest_reading(values.items(), claim(key).value)
-        result.discrepancies.append(
-            discrepancy_entry(
-                claim(key),
-                closest,
-                f"twirled damping input; all geometries: { {k: round(v, 6) for k, v in values.items()} }",
-            )
-        )
-    rates = {
-        geometry: (r["rate_selected_per_pair"], r["rate_success_times_global"])
-        for geometry, r in post.items()
-    }
-    flat = ((geometry, v) for geometry, pair in rates.items() for v in pair)
-    _, closest_rate = _closest_reading(flat, claim("table2_rate").value)
-    result.discrepancies.append(
-        discrepancy_entry(claim("table2_rate"), closest_rate, f"computed definitions: {rates}")
-    )
-    result.discrepancies.append(
-        discrepancy_entry(
-            claim("table2_pes"),
+    records = {
+        **_nearest_reading_records(
+            "table2",
+            post,
+            lambda label, values: "twirled damping input; "
+            f"all geometries: { {k: round(v, 6) for k, v in values.items()} }",
+            lambda rates: f"computed definitions: {rates}",
+        ),
+        "table2_pes": (
             plain.value,
             "numeric bound on the damped Bell pair; no pre-rotation can change it, "
             "because (I x U)|Phi+> = (U^T x I)|Phi+> turns a rotation of the "
             "transmitted qubit into a local unitary on the kept qubit after the "
             "channel, and relative entropy of entanglement is invariant under "
             "local unitaries",
-            extra={"interval": [float(plain.lower), plain.value]},
-        )
-    )
-    result.discrepancies.append(
-        discrepancy_entry(
-            claim("ad_delta"),
+            {"interval": [float(plain.lower), plain.value]},
+        ),
+        "ad_delta": (
             delta,
             "numeric bounds at one-shot damping 0.5 and 0.85 x 0.5; equal-damping "
             "slices compose exactly (AD(a) o AD(b) = AD(1 - (1-a)(1-b))), so any "
             "time-sliced path ends at the same state",
-            extra={"interval": interval},
-        )
-    )
-    result.discrepancies.extend(_static_claim_entries())
+            {"interval": interval},
+        ),
+        **_static_records(),
+    }
+    result.discrepancies += [discrepancy_entry(claim(key), *record) for key, record in records.items()]
     return result

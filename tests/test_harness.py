@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from entshape import channels
 from entshape.entanglement import er_bell_diagonal
-from entshape.harness import experiments
+from entshape.harness import experiments, tables
 from entshape.harness.claims import CLAIMS, claim
 from entshape.harness.config import (
     CONVENTIONS,
@@ -260,7 +260,7 @@ class TestConventions:
             ("oracle", "two"): 0.13829496059816254,
         }
         for (bridge, geometry), p_prime in expected.items():
-            calib = calibrate_p_prime(0.187, bridge, geometry, 0.2)
+            calib = calibrate_p_prime(0.187, bridge, geometry)
             assert abs(calib["p_prime"] - p_prime) <= 1e-15
         assert counts == {"apply": 0, "density_matrix": 0}
         # The counters see what a Kraus-path pair builds: one apply per transit.
@@ -269,15 +269,12 @@ class TestConventions:
 
     def test_calibration_known_solutions(self):
         # Calibrated values cross-checked against direct formula inversions.
-        paper = calibrate_p_prime(0.187, "paper", "one", 0.2)
+        paper = calibrate_p_prime(0.187, "paper", "one")
         assert paper["p_prime"] == pytest.approx(0.5022, abs=1e-3)
-        assert not paper["feasible"]
-        oracle_one = calibrate_p_prime(0.187, "oracle", "one", 0.2)
+        oracle_one = calibrate_p_prime(0.187, "oracle", "one")
         assert oracle_one["p_prime"] == pytest.approx(0.2511, abs=1e-3)
-        assert not oracle_one["feasible"]
-        oracle_two = calibrate_p_prime(0.187, "oracle", "two", 0.2)
+        oracle_two = calibrate_p_prime(0.187, "oracle", "two")
         assert oracle_two["p_prime"] == pytest.approx(0.1383, abs=1e-3)
-        assert oracle_two["feasible"]
         assert oracle_two["achieved_er"] == pytest.approx(0.187, abs=1e-9)
 
     @given(
@@ -290,7 +287,7 @@ class TestConventions:
         # Every target in [0, 1] has a p' under every reading, and the Kraus
         # pair at that p' reads the target back: oracle by the closed form,
         # paper by the unclamped fidelity form at the Werner parameter.
-        p_prime = calibrate_p_prime(target, bridge, geometry, 0.2)["p_prime"]
+        p_prime = calibrate_p_prime(target, bridge, geometry)["p_prime"]
         assert 0 <= p_prime <= (0.75 if bridge == "oracle" else 1.0)
         pair = input_pair_state(bridge, geometry, p_prime)
         if bridge == "oracle":
@@ -302,7 +299,7 @@ class TestConventions:
     @pytest.mark.parametrize("target", [-1e-12, 1 + 1e-12, math.nan])
     def test_calibration_rejects_target_outside_unit_interval(self, target):
         with pytest.raises(ValueError, match="outside"):
-            calibrate_p_prime(target, "oracle", "one", 0.2)
+            calibrate_p_prime(target, "oracle", "one")
 
 
 class TestReport:
@@ -377,9 +374,11 @@ class TestExperiments:
         rows = [r for r in run(cfg).rows if r["protocol"] == "pre_channel_shaping_calibrated"]
         assert len(rows) == 4
         for row in rows:
-            calib = calibrate_p_prime(0.187, row["convention"], row["sides"], cfg.p)
+            calib = calibrate_p_prime(0.187, row["convention"], row["sides"])
             assert row["calibration_achieved_er"] == calib["achieved_er"]
             assert row["calibration_achieved_er"] == pytest.approx(0.187, abs=1e-12)
+            # Only the oracle/two calibration lies within compression's reach of p = 0.2.
+            assert row["dd_reachable_from_p"] == ((row["convention"], row["sides"]) == ("oracle", "two"))
             if row["convention"] == "paper":
                 # The unclamped fidelity form at F = 1 - p' is neither column.
                 assert row["er_per_pair_oracle"] == pytest.approx(0.0444, abs=1e-4)
@@ -496,6 +495,87 @@ class TestExperiments:
         result = run(cfg)
         assert result.ok
         assert all(row["ok"] for row in result.rows)
+
+
+STATIC_CLAIMS = (
+    "h2_0915",
+    "er_werner_083",
+    "hashing_rate_p02",
+    "eb_threshold",
+    "dd_limit",
+    "fidelity_bridge",
+    "pulse_average_compression",
+    "rate_sign",
+)
+
+
+def post_row(success=0.5, er_global=0.5, er_selected=0.5, rates=(0.5, 0.5)):
+    """A synthetic distillation row carrying only the columns the claim records read."""
+    return {
+        "success_probability_exact": success,
+        "er_global_oracle": er_global,
+        "er_selected_oracle": er_selected,
+        "rate_selected_per_pair": rates[0],
+        "rate_success_times_global": rates[1],
+    }
+
+
+def nearest_records(table, post):
+    # Each method text is what its wording function was given, so a test reads the pick back.
+    return tables._nearest_reading_records(table, post, lambda label, values: label, lambda rates: rates)
+
+
+class TestClaimRecords:
+    def test_nearest_reading_takes_first_on_tie(self):
+        claimed = claim("table1_success").value
+        low, high = claimed - 0.0625, claimed + 0.0625
+        assert abs(low - claimed) == abs(high - claimed)
+        for first, second in [("a/one", "b/two"), ("b/two", "a/one")]:
+            post = {first: post_row(success=low), second: post_row(success=high), "c/one": post_row(success=0.9)}
+            assert nearest_records("table1", post)["table1_success"] == (low, first)
+            post = {first: post_row(er_global=0.4), second: post_row(er_global=0.4)}
+            assert nearest_records("table1", post)["table1_er_global"] == (0.4, first)
+
+    @pytest.mark.parametrize(
+        "rates, nearest",
+        [
+            ({"a": (0.5, 0.2), "b": (0.3, 0.0045), "c": (0.006, 1.0)}, 0.0045),
+            ({"a": (0.5, 0.2), "b": (0.3, 0.0045), "c": (0.0041, 1.0)}, 0.0041),
+        ],
+    )
+    def test_rate_is_nearest_of_both_definitions_of_every_reading(self, rates, nearest):
+        post = {label: post_row(rates=pair) for label, pair in rates.items()}
+        assert nearest_records("table1", post)["table1_rate"] == (nearest, rates)
+
+    @pytest.mark.parametrize(
+        "table, keys",
+        [
+            ("table1", ["table1_success", "table1_er_global", "table1_er_selected", "table1_rate"]),
+            # The registry holds no table2_er_selected claim, so table2 gets no such record.
+            ("table2", ["table2_success", "table2_er_global", "table2_rate"]),
+        ],
+    )
+    def test_single_reading_gets_every_record_of_its_table(self, table, keys):
+        row = post_row(success=0.3, er_global=0.02, er_selected=0.7, rates=(0.001, 0.02))
+        records = nearest_records(table, {"one": row})
+        assert list(records) == keys
+        values = {"success": 0.3, "er_global": 0.02, "er_selected": 0.7, "rate": 0.001}
+        for key in keys:
+            method = {"one": (0.001, 0.02)} if key.endswith("rate") else "one"
+            assert records[key] == (values[key.removeprefix(f"{table}_")], method)
+
+    def test_static_entries_are_shared_and_ignore_the_config(self, tmp_path):
+        def static_entries(experiment, **settings):
+            cfg = build_config(experiment, {**settings, "out_dir": str(tmp_path)})
+            entries = {e["claim"]: e for e in run(cfg).discrepancies if e["claim"] in STATIC_CLAIMS}
+            assert sorted(entries) == sorted(STATIC_CLAIMS)
+            return entries
+
+        reference = static_entries("table1", convention="both")
+        assert "oracle_reading" in reference["er_werner_083"]
+        assert static_entries("table2") == reference
+        assert static_entries("table1", convention="paper", sides="one", p=0.5, p_prime=0.3) == reference
+        assert static_entries("table2", convention="paper", sides="two", gamma=0.7, n_pairs=16) == reference
 
 
 class TestCLI:
