@@ -9,9 +9,11 @@ For everything else, :func:`er_numeric` returns a certified interval
 [``lower``, ``value``]: ``value`` is the relative entropy to an explicit
 separable certificate, ``lower`` the Frank-Wolfe bound (Jaggi 2013) at that
 certificate with an exact product-state maximum, and ``converged`` means
-value - lower <= CERTIFIED_GAP (1e-9 bits). Its solver, an X-state
-reduction and a PPT barrier path, is :mod:`entshape.ree`, imported on the
-first numeric call.
+value - lower <= CERTIFIED_GAP (1e-9 bits). Its X-state reduction is
+:mod:`entshape.ree`, which it imports on its first call. Its local-unitary
+front end and PPT barrier are :mod:`entshape.ree_general`, which it imports
+only for an input with an entry outside the X pattern or an X state whose
+reduced interval stays open.
 
 Two scalar "bridge" helpers exist because the reproduction targets use an
 inconsistent Werner parameterization: :func:`er_bell_fidelity` evaluates
@@ -154,19 +156,27 @@ def er_numeric(rho: DensityMatrix) -> ERResult:
     """Certified interval [lower, value] for the relative entropy of entanglement of a qubit pair.
 
     An exact X state (every entry outside the diagonal and the |00><11|
-    coherence is 0) takes the reduced solver directly. Any other input goes
-    to the front end (see its notes in :mod:`entshape.ree`), which twirls a near-X input in
-    its own frame, or one a local unitary takes near X shape in that frame,
-    and solves the twirled state on the reduced path. Every other input, and
+    coherence is 0) takes the reduced solver in :mod:`entshape.ree`
+    directly. Any other input goes to the front end (see its notes in
+    :mod:`entshape.ree_general`), which twirls a near-X input in its own
+    frame, or one a local unitary takes near X shape in that frame, and
+    solves the twirled state on the reduced path. Every other input, and
     one whose interval the reduced solver cannot close, takes the PPT
     barrier solver. ``converged`` means value - lower <= CERTIFIED_GAP bits;
     a wider interval is reported, never hidden.
     """
     if rho.dims != (2, 2):
         raise ValueError(f"numeric minimization expects a qubit pair, got dims {rho.dims}")
-    from . import ree  # the solver compiles on the first numeric call, never for closed forms alone
+    from . import ree  # the X reduction compiles on the first numeric call, never for closed forms alone
 
-    result = ree._er_x_frame(rho) if rho.matrix[ree._OFF_X].any() else ree._er_x_state(rho)
+    if rho.matrix[ree._OFF_X].any():
+        from . import ree_general  # the general solver compiles only for inputs that reach it
+
+        result = ree_general._er_x_frame(rho)
+    else:
+        result = ree._er_x_state(rho)
     if result is not None and result.converged:
         return result
-    return ree._er_ppt_barrier(rho)
+    from . import ree_general
+
+    return ree_general._er_ppt_barrier(rho)

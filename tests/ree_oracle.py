@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from entshape.qstate import DensityMatrix, partial_transpose
-from entshape.ree import _ln_first_differences
+from entshape.ree_general import _ln_first_differences
 from helpers import random_density_matrix
 
 

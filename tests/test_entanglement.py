@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from entshape import entanglement, ree
+from entshape import entanglement, ree, ree_general
 from entshape.channels import amplitude_damping, apply, depolarizing, transmit_bell_pair
 from entshape.entanglement import (
     CERTIFIED_GAP,
@@ -25,7 +25,7 @@ from entshape.qstate import (
     relative_entropy,
     werner,
 )
-from entshape.ree import _er_ppt_barrier
+from entshape.ree_general import _er_ppt_barrier
 from helpers import (
     assemble_by_kron,
     bell_state,
@@ -158,7 +158,7 @@ class TestNumericSolver:
 
     def test_non_convergence_is_flagged(self, monkeypatch):
         rho = random_density_matrix(np.random.default_rng(51), (2, 2))
-        monkeypatch.setattr(ree, "_PPT_MAX_STEPS", 3)
+        monkeypatch.setattr(ree_general, "_PPT_MAX_STEPS", 3)
         res = er_numeric(rho)
         assert not res.converged
         assert res.iterations == 3
@@ -290,7 +290,7 @@ class TestXStatePath:
         u = np.kron(ry, np.eye(2))  # R_y(2 pi) on A: -I up to 1.2e-16
         rotated = DensityMatrix(u @ bell_pair(0).matrix @ u.T, (2, 2))
         damped = apply(amplitude_damping(1e-3), apply(amplitude_damping(1e-3), rotated, target=1), target=0)
-        monkeypatch.setattr(ree, "_er_ppt_barrier", no_general_path)
+        monkeypatch.setattr(ree_general, "_er_ppt_barrier", no_general_path)
         cases = [
             (plus(damped_pair(1e-9), 1, 2, 1e-16), er_numeric(damped_pair(1e-9)).value),
             (plus(bell_pair(0), 0, 1, 1e-13), 1.0),
@@ -324,11 +324,18 @@ def test_random_x_states_give_ordered_certified_intervals(pops, fraction, phase,
     assert res.converged
 
 
-def same_bits(a, b):
-    """Equal floats to the last bit, signs of zero included; None only against None."""
-    if a is None or b is None:
-        return a is b
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+def float_bits(x):
+    """float.hex of every entry of nested lists or tuples of Python floats; None for anything else."""
+    if isinstance(x, (list, tuple)):
+        return [float_bits(e) for e in x]
+    return x.hex() if type(x) is float else None
+
+
+def same_bits(got, want):
+    """Plain floats equal to an array's tolist() to the last bit, signs of zero included; None only against None."""
+    if got is None or want is None:
+        return got is want
+    return want.dtype == np.float64 and float_bits(got) == float_bits(want.tolist())
 
 
 LOG_EIGENVALUE = st.floats(-40.0, 5.0) | st.floats(-800.0, 60.0)
@@ -399,14 +406,14 @@ ZERO_BH_COORDS = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).map(
 
 
 def product_max_reference(g):
-    """The generator form of ree._product_max, whose bits the plain-float loops must keep.
+    """The generator form of ree_general._product_max, whose bits the plain-float loops must keep.
 
     A nonzero |bh| below an ulp of a_min leaves no float in the bracket for
     l, and psi is taken at the first float above -a_min, as in the module.
     A square that underflows to 0 gives an infinite float64 term with a
     warning, which is silenced.
     """
-    coords = np.einsum("kab,ba->k", ree._BASIS, g).real.reshape(4, 4) / 4
+    coords = np.einsum("kab,ba->k", ree_general._BASIS, g).real.reshape(4, 4) / 4
     c, alpha, beta, tt = coords[0, 0], coords[1:, 0], coords[0, 1:], coords[1:, 1:]
     a, frame = np.linalg.eigh(np.outer(beta, beta) - tt.T @ tt)
     beta_f, alpha_f = frame.T @ beta, frame.T @ tt.T @ alpha
@@ -457,7 +464,7 @@ class TestGeneralPathParts:
     def test_product_max_is_exact(self, terms, expected):
         pauli = {"i": np.eye(2), "x": np.array([[0, 1], [1, 0]]), "y": np.array([[0, -1j], [1j, 0]]), "z": np.diag([1, -1])}
         g = sum(w * np.kron(pauli[k[0]], pauli[k[1]]) for k, w in terms.items()).astype(complex)
-        assert ree._product_max(g) == pytest.approx(expected, abs=1e-12)
+        assert ree_general._product_max(g) == pytest.approx(expected, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -476,7 +483,7 @@ class TestGeneralPathParts:
         kets = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=1)
         reduced = np.einsum("nb,abcd,nd->nac", kets.conj(), g.reshape(2, 2, 2, 2), kets)
         grid_max = np.linalg.eigvalsh(reduced)[:, -1].max()
-        top = ree._product_max(g)
+        top = ree_general._product_max(g)
         # Certified: never below an attained value; the grid's spacing of about
         # 0.025 puts its smooth maximum within 5e-3 of the true one.
         assert grid_max - 1e-12 <= top <= grid_max + 5e-3
@@ -485,8 +492,8 @@ class TestGeneralPathParts:
     @settings(max_examples=90, deadline=None)
     @given(coords=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16) | ZERO_BH_COORDS)
     def test_product_max_matches_generator_reference_bit_for_bit(self, coords):
-        g = np.tensordot(np.array(coords), ree._BASIS, 1)
-        assert ree._product_max(g) == product_max_reference(g)
+        g = np.tensordot(np.array(coords), ree_general._BASIS, 1)
+        assert ree_general._product_max(g) == product_max_reference(g)
 
     @pytest.mark.parametrize("a", [0.6, 0.9, 0.93])
     @pytest.mark.parametrize("b", [1e-9, 1e-10])
@@ -495,7 +502,7 @@ class TestGeneralPathParts:
         # Wootters phases close a triangle of width 2b against sides near 0.3.
         sigma = np.diag([a, b, b, 1 - a - 2 * b]).astype(complex)
         sigma[0, 3] = sigma[3, 0] = b
-        ansatz = ree._product_decomposition(sigma)
+        ansatz = ree_general._product_decomposition(sigma)
         assert len(ansatz.weights) <= 4
         assert np.abs(ansatz.assemble().matrix - sigma).max() < 1e-15
 
@@ -506,7 +513,7 @@ class TestGeneralPathParts:
         rng = np.random.default_rng(seed)
         frame = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
         sigma = frame @ np.diag([1e-24, 1e-12, 0.3, 0.7 - 1e-12 - 1e-24]) @ frame.conj().T
-        g = ree._log_gradient(random_density_matrix(rng, (2, 2)).matrix, sigma)
+        g = ree_general._log_gradient(random_density_matrix(rng, (2, 2)).matrix, sigma)
         assert np.isfinite(g).all()
 
 
@@ -526,7 +533,7 @@ def is_x_shaped(rho):
 
 def check_result(rho, res):
     """check_x_result when rho has an X frame whose interval closes (er_numeric returns that solve), else check_general_result."""
-    frame = ree._er_x_frame(rho)
+    frame = ree_general._er_x_frame(rho)
     if frame is not None and frame.converged:
         assert res.value == frame.value
         assert res.converged == (res.value - res.lower <= CERTIFIED_GAP)
@@ -630,7 +637,7 @@ def test_barrier_centers_its_final_iterate():
         solved[ppt] += 1
         res = _er_ppt_barrier(rho)
         check_general_result(rho, res)
-        top = ree._product_max(ree._log_gradient(rho.matrix, res.certificate.assemble().matrix))
+        top = ree_general._product_max(ree_general._log_gradient(rho.matrix, res.certificate.assemble().matrix))
         assert (top - 1) / math.log(2) <= 2e-11
 
 
@@ -649,9 +656,9 @@ def test_general_path_step_budget(monkeypatch):
     # and only the first point, accepted Newton steps and predictor steps
     # build derivatives, each counted once in iterations.
     points, builds = [], []
-    point, derivatives = ree._barrier_point, ree._barrier_derivatives
-    monkeypatch.setattr(ree, "_barrier_point", lambda s, rho: points.append(s.tobytes()) or point(s, rho))
-    monkeypatch.setattr(ree, "_barrier_derivatives", lambda *p: builds.append(p) or derivatives(*p))
+    point, derivatives = ree_general._barrier_point, ree_general._barrier_derivatives
+    monkeypatch.setattr(ree_general, "_barrier_point", lambda s, rho: points.append(s.tobytes()) or point(s, rho))
+    monkeypatch.setattr(ree_general, "_barrier_derivatives", lambda *p: builds.append(p) or derivatives(*p))
 
     def solve(rho):
         points.clear()
@@ -683,7 +690,7 @@ def test_general_path_step_budget(monkeypatch):
         assert res.converged
         assert res.lower - CERTIFIED_GAP <= er_pure(psi).value <= res.value + CERTIFIED_GAP
     # er_numeric sends the rotated pairs, a local unitary away from X states, to the X path.
-    monkeypatch.setattr(ree, "_er_ppt_barrier", no_general_path)
+    monkeypatch.setattr(ree_general, "_er_ppt_barrier", no_general_path)
     for rho in rotated:
         res = er_numeric(rho)
         check_x_result(rho, res)
@@ -706,7 +713,7 @@ class TestLocalUnitaryFrame:
             assert not is_x_shaped(rho)
             res = er_numeric(rho)
             sigma = res.certificate.assemble().matrix
-            top = ree._product_max(ree._log_gradient(rho.matrix, sigma))
+            top = ree_general._product_max(ree_general._log_gradient(rho.matrix, sigma))
             assert res.converged and (top - 1) / math.log(2) <= 1e-12
 
     def test_rank_one_block_certifies_on_x_path(self, monkeypatch):
@@ -716,7 +723,7 @@ class TestLocalUnitaryFrame:
         # <u2|R|u2> to its last digit. The last state, the frame of a rotated
         # Phi+, has |rho_03| = sqrt(p00 p11) one ulp above sqrt(p00) sqrt(p11),
         # which must not turn <u2|R|u2> negative and the objective unbounded.
-        monkeypatch.setattr(ree, "_er_ppt_barrier", no_general_path)
+        monkeypatch.setattr(ree_general, "_er_ppt_barrier", no_general_path)
         states = [x_state([0.35 + k * 2.0**-54, 0.0, 0.3, 0.35 - k * 2.0**-54], 0.35) for k in (0, 1, 2, -1, 16, 1000)]
         states.append(x_state([0.49999999999999967, 8.3266726846886741e-17, 8.3266726846886741e-17, 0.49999999999999978], 0.4999999999999997))
         for rho in states:
@@ -727,7 +734,7 @@ class TestLocalUnitaryFrame:
     def test_states_without_an_x_frame_keep_the_general_path(self):
         # A generic full-rank state has three distinct singular values in T.
         rho = random_density_matrix(np.random.default_rng(19), (2, 2))
-        assert ree._er_x_frame(rho) is None
+        assert ree_general._er_x_frame(rho) is None
 
 
 I_X = np.kron(np.eye(2), np.array([[0, 1], [1, 0]]))
@@ -765,7 +772,7 @@ def test_local_unitary_away_from_x_state_takes_x_path(source, gamma, gamma_a, se
     u = np.eye(4) if seed is None else random_product_unitary(np.random.default_rng(seed))
     rho = DensityMatrix(u @ start.matrix @ u.conj().T, (2, 2))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ree, "_er_ppt_barrier", no_general_path)
+        mp.setattr(ree_general, "_er_ppt_barrier", no_general_path)
         res = er_numeric(rho)
     check_x_result(rho, res)
     assert res.converged
@@ -879,6 +886,6 @@ class TestSeparableAnsatz:
         # A global phase and a relative phase of 2.1 on every ket; no amplitude
         # is too small to keep.
         v = np.exp(0.7j) * np.array([modulus, math.sqrt(1 - modulus**2) * np.exp(2.1j)])
-        ket = entanglement._ket(*ree._angles(v))
+        ket = entanglement._ket(*ree_general._angles(v))
         overlap = np.vdot(ket, v)
         assert np.abs(ket * overlap / abs(overlap) - v).max() <= 1e-15

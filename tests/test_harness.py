@@ -594,24 +594,55 @@ class TestCLI:
             ((), []),
             (("flow", "--convention", "oracle"), []),
             (("er", "--state", "werner", "--param", "0.83"), ["entshape.ree"]),
+            (("check",), ["entshape.ree"]),
             (("table1", "--convention", "oracle"), ["entshape.harness.tables"]),
         ],
-        ids=["import", "flow", "er", "table1"],
+        ids=["import", "flow", "er", "check", "table1"],
     )
     def test_subcommand_compiles_only_what_it_runs(self, tmp_path, args, loaded):
-        # A fresh interpreter per case: the numeric solver and the table
-        # runners are imported by the subcommands that run them, and only by those.
+        # A fresh interpreter per case: the X reduction and the table runners
+        # are imported by the subcommands that run them, and only by those.
+        # Every solve here is an exact X state whose interval closes, so none
+        # loads the general solver.
         script = (
             "import json, sys\n"
             "from entshape.harness import cli\n"
             "code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
-            "print(json.dumps([m for m in ('entshape.ree', 'entshape.harness.tables') if m in sys.modules]))\n"
+            "watched = ('entshape.ree', 'entshape.ree_general', 'entshape.harness.tables')\n"
+            "print(json.dumps([m for m in watched if m in sys.modules]))\n"
             "sys.exit(code)\n"
         )
         argv = [*args, "--out", str(tmp_path), "--quiet"] if args else []
         proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == loaded
+
+    def test_general_solver_compiles_only_for_inputs_outside_the_x_pattern(self):
+        # A fresh interpreter: a damped pair is an exact X state and loads the
+        # X reduction alone; the same pair with its kept qubit turned by
+        # R_y(pi/3) has entries outside the X pattern and loads the general
+        # solver, whose front end rotates it back.
+        script = (
+            "import json, math, sys\n"
+            "import numpy as np\n"
+            "from entshape.channels import amplitude_damping, transmit_bell_pair\n"
+            "from entshape.entanglement import er_numeric\n"
+            "from entshape.qstate import DensityMatrix\n"
+            "watched = ('entshape.ree', 'entshape.ree_general')\n"
+            "pair = transmit_bell_pair(amplitude_damping(0.3))\n"
+            "closes = [er_numeric(pair).converged]\n"
+            "loaded = [[m for m in watched if m in sys.modules]]\n"
+            "c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)\n"
+            "u = np.kron(np.eye(2), [[c, -s], [s, c]])\n"
+            "closes.append(er_numeric(DensityMatrix(u @ pair.matrix @ u.T, (2, 2))).converged)\n"
+            "loaded.append([m for m in watched if m in sys.modules])\n"
+            "print(json.dumps([loaded, closes]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded, closes = json.loads(proc.stdout)
+        assert loaded == [["entshape.ree"], ["entshape.ree", "entshape.ree_general"]]
+        assert closes == [True, True]
 
     def test_unwritable_output_exits_three(self):
         proc = cli(
