@@ -88,14 +88,11 @@ def _bell_diagonal_minimizer(state: BellDiagonalState) -> SeparableAnsatz:
     exactly into the three product-pair mixtures that average to
     (|B_max> + |B_j>)/2 for j over the non-maximal Bell states.
     """
-    q = np.array(state.coefficients)
-    top = int(np.argmax(q))
+    q = state.coefficients
+    top = q.index(max(q))
     rest = [i for i in range(4) if i != top]
     lam = q[top]
-    if 1 - lam > 1e-15:
-        mus = q[rest] / (2 * (1 - lam))
-    else:
-        mus = np.full(3, 1 / 6)
+    mus = [q[i] / (2 * (1 - lam)) for i in rest] if 1 - lam > 1e-15 else [1 / 6] * 3
 
     # Product pairs averaging to (|B_i> + |B_j>)/2, keyed on {i, j}:
     # z pair for {Phi+, Phi-} and {Psi+, Psi-}; x pair for {Phi+, Psi+} and
@@ -115,7 +112,7 @@ def _bell_diagonal_minimizer(state: BellDiagonalState) -> SeparableAnsatz:
     atoms: list[tuple[tuple[float, float], tuple[float, float]]] = []
     for mu, j in zip(mus, rest):
         first, second = pair_atoms[frozenset({top, j})]
-        weights.extend([float(mu), float(mu)])
+        weights.extend([mu, mu])
         atoms.extend([first, second])
     total = sum(weights)  # cancellation near lam ~ 1 drifts the sum slightly
     return SeparableAnsatz(tuple(w / total for w in weights), tuple(atoms))

@@ -72,22 +72,23 @@ class DistillationOutcome:
         return self.states[-1]
 
     def _mix(self, failure_weights) -> BellDiagonalState:
-        # Success first, then the failures in round order: this summation
-        # order fixes the last bits of every reported mixture.
+        # Success first, then the failures in round order, each column summed
+        # from 0 so that -0.0 reads 0.0: this fixes the last bits of every mixture.
         *fail_probs, p_s = self.probabilities
-        terms = [p_s * np.asarray(self.selected_state.coefficients)]
-        terms += [p * failure_weights(s) for p, s in zip(fail_probs, self.states) if p > 0]
-        mix = sum(terms)
-        return BellDiagonalState(mix / mix.sum())
+        terms = [[p_s * w for w in self.selected_state.coefficients]]
+        terms += [[p * w for w in failure_weights(s)] for p, s in zip(fail_probs, self.states) if p > 0]
+        mix = [sum(column) for column in zip(*terms)]
+        total = sum(mix)
+        return BellDiagonalState(w / total for w in mix)
 
     @property
     def global_state(self) -> BellDiagonalState:
-        return self._mix(lambda s: np.asarray(s.coefficients))
+        return self._mix(lambda s: s.coefficients)
 
     def global_with_placeholder_trash(self) -> BellDiagonalState:
         """Global mixture with every failure branch replaced by I/4."""
         # I/4 puts weight 1/4 on every Bell state.
-        return self._mix(lambda s: 0.25)
+        return self._mix(lambda s: (0.25,) * 4)
 
 
 def dejmps_branch_map(pair1: BellDiagonalState, pair2: BellDiagonalState) -> DistillationOutcome:
@@ -100,13 +101,13 @@ def dejmps_branch_map(pair1: BellDiagonalState, pair2: BellDiagonalState) -> Dis
     a, b, c, d = pair1.coefficients
     e, f, g, h = pair2.coefficients
     # Unnormalized kept-pair Bell weights; each sums to its branch probability.
-    succ = np.array([a * e + c * g, b * f + d * h, b * h + d * f, a * g + c * e])
-    fail = np.array([a * f + c * h, b * e + d * g, b * g + d * e, a * h + c * f])
-    p_succ, p_fail = float(succ.sum()), float(fail.sum())
+    succ = (a * e + c * g, b * f + d * h, b * h + d * f, a * g + c * e)
+    fail = (a * f + c * h, b * e + d * g, b * g + d * e, a * h + c * f)
+    p_succ, p_fail = sum(succ), sum(fail)
     if p_succ <= 0:
         raise ValueError("the pairs never pass the parity check")
-    success = BellDiagonalState(succ / p_succ)
-    failure = BellDiagonalState(fail / p_fail) if p_fail > 1e-15 else success
+    success = BellDiagonalState(w / p_succ for w in succ)
+    failure = BellDiagonalState(w / p_fail for w in fail) if p_fail > 1e-15 else success
     return DistillationOutcome((p_fail, p_succ), (failure, success))
 
 

@@ -181,8 +181,9 @@ class BellDiagonalState:
 
 def bell_projection(rho: DensityMatrix) -> BellDiagonalState:
     """Bell-diagonal part of a two-qubit state (Bell-basis dephasing/twirl)."""
-    weights = np.clip(_bell_weights(rho.matrix), 0.0, None)
-    return BellDiagonalState(tuple(weights / weights.sum()))
+    weights = [max(0.0, w) for w in _bell_weights(rho.matrix)]  # 0.0 first: a -0.0 weight reads +0.0
+    total = sum(weights)
+    return BellDiagonalState(w / total for w in weights)
 
 
 def werner(fidelity_param: float) -> BellDiagonalState:

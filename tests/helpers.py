@@ -15,7 +15,15 @@ from entshape import ree
 from entshape.channels import QuantumChannel, transmit_bell_pair
 from entshape.dynamics import fidelity_decay
 from entshape.entanglement import ERResult, SeparableAnsatz, _ket, er_bell_fidelity
-from entshape.qstate import BELL_VECTORS, SUPPORT_TOL, DensityMatrix, partial_transpose
+from entshape.protocols import DistillationOutcome
+from entshape.qstate import (
+    BELL_VECTORS,
+    SUPPORT_TOL,
+    BellDiagonalState,
+    DensityMatrix,
+    _bell_weights,
+    partial_transpose,
+)
 
 PRUNE_TOL = 1e-12
 
@@ -175,3 +183,67 @@ def assemble_by_kron(ansatz: SeparableAnsatz) -> np.ndarray:
         m += w * np.outer(v, v.conj())
     m = 0.5 * (m + m.conj().T)
     return m / np.trace(m).real
+
+
+# The Bell-diagonal layer built from arrays, whose bits its plain-float form
+# must keep: qstate.bell_projection, protocols.dejmps_branch_map,
+# DistillationOutcome._mix and entanglement._bell_diagonal_minimizer.
+
+
+def bell_projection_array_form(rho: DensityMatrix) -> BellDiagonalState:
+    weights = np.clip(_bell_weights(rho.matrix), 0.0, None)
+    return BellDiagonalState(tuple(weights / weights.sum()))
+
+
+def dejmps_branch_map_array_form(pair1: BellDiagonalState, pair2: BellDiagonalState) -> DistillationOutcome:
+    a, b, c, d = pair1.coefficients
+    e, f, g, h = pair2.coefficients
+    succ = np.array([a * e + c * g, b * f + d * h, b * h + d * f, a * g + c * e])
+    fail = np.array([a * f + c * h, b * e + d * g, b * g + d * e, a * h + c * f])
+    p_succ, p_fail = float(succ.sum()), float(fail.sum())
+    if p_succ <= 0:
+        raise ValueError("the pairs never pass the parity check")
+    success = BellDiagonalState(succ / p_succ)
+    failure = BellDiagonalState(fail / p_fail) if p_fail > 1e-15 else success
+    return DistillationOutcome((p_fail, p_succ), (failure, success))
+
+
+def mix_array_form(outcome: DistillationOutcome, failure_weights) -> BellDiagonalState:
+    """DistillationOutcome._mix; ``global_state`` passes ``np.asarray(s.coefficients)``
+    and the placeholder mixture passes 0.25."""
+    *fail_probs, p_s = outcome.probabilities
+    terms = [p_s * np.asarray(outcome.selected_state.coefficients)]
+    terms += [p * failure_weights(s) for p, s in zip(fail_probs, outcome.states) if p > 0]
+    mix = sum(terms)
+    return BellDiagonalState(mix / mix.sum())
+
+
+def bell_diagonal_minimizer_array_form(state: BellDiagonalState) -> SeparableAnsatz:
+    q = np.array(state.coefficients)
+    top = int(np.argmax(q))
+    rest = [i for i in range(4) if i != top]
+    lam = q[top]
+    if 1 - lam > 1e-15:
+        mus = q[rest] / (2 * (1 - lam))
+    else:
+        mus = np.full(3, 1 / 6)
+
+    z0, z1 = (0.0, 0.0), (math.pi, 0.0)
+    xp, xm = (math.pi / 2, 0.0), (math.pi / 2, math.pi)
+    yp, ym = (math.pi / 2, math.pi / 2), (math.pi / 2, -math.pi / 2)
+    pair_atoms = {
+        frozenset({0, 3}): ((z0, z0), (z1, z1)),
+        frozenset({1, 2}): ((z0, z1), (z1, z0)),
+        frozenset({0, 1}): ((xp, xp), (xm, xm)),
+        frozenset({2, 3}): ((xp, xm), (xm, xp)),
+        frozenset({0, 2}): ((yp, ym), (ym, yp)),
+        frozenset({1, 3}): ((yp, yp), (ym, ym)),
+    }
+    weights: list[float] = []
+    atoms: list[tuple[tuple[float, float], tuple[float, float]]] = []
+    for mu, j in zip(mus, rest):
+        first, second = pair_atoms[frozenset({top, j})]
+        weights.extend([float(mu), float(mu)])
+        atoms.extend([first, second])
+    total = sum(weights)
+    return SeparableAnsatz(tuple(w / total for w in weights), tuple(atoms))

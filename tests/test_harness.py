@@ -603,10 +603,16 @@ class TestCLI:
         # A fresh interpreter per case: the X reduction and the table runners
         # are imported by the subcommands that run them, and only by those.
         # Every solve here is an exact X state whose interval closes, so none
-        # loads the general solver.
+        # loads the general solver. perfbench's tracer patches only modules
+        # that importing the CLI loads, so that import must load every module
+        # it wraps; the run trace that replaces the tracer (ROADMAP item 5)
+        # retires this assertion.
         script = (
             "import json, sys\n"
             "from entshape.harness import cli\n"
+            "traced = ('entshape.entanglement', 'entshape.protocols', 'entshape.channels', 'entshape.dynamics',"
+            " 'entshape.qstate', 'entshape.harness.experiments', 'entshape.harness.config', 'entshape.harness.report')\n"
+            "assert all(m in sys.modules for m in traced), [m for m in traced if m not in sys.modules]\n"
             "code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
             "watched = ('entshape.ree', 'entshape.ree_general', 'entshape.harness.tables')\n"
             "print(json.dumps([m for m in watched if m in sys.modules]))\n"

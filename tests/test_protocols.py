@@ -1,12 +1,14 @@
 import math
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entshape.channels import amplitude_damping, apply, transmit_bell_pair
+from entshape import protocols
+from entshape.channels import amplitude_damping, apply, depolarizing, pauli_twirl, transmit_bell_pair
 from entshape.entanglement import er_bell_diagonal, er_numeric
 from entshape.protocols import (
     DistillationOutcome,
@@ -24,6 +26,12 @@ from entshape.qstate import (
     bell_pair,
     bell_projection,
     werner,
+)
+from helpers import (
+    bell_diagonal_minimizer_array_form,
+    bell_projection_array_form,
+    dejmps_branch_map_array_form,
+    mix_array_form,
 )
 
 
@@ -381,3 +389,98 @@ class TestHashingRate:
     def test_range(self):
         with pytest.raises(ValueError):
             hashing_rate(0.8)
+
+
+# Raw weights, normalized by their sum: zeros of both signs, the smallest
+# subnormal, exact ties and a weight of 1 among random draws.
+BELL_WEIGHTS = (
+    st.lists(st.sampled_from([0.0, -0.0, 5e-324, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=4, max_size=4)
+    .filter(lambda raw: sum(raw) > 0)
+    .map(lambda raw: [w / sum(raw) for w in raw])
+)
+
+
+def _bits(values):
+    """float.hex of each value, which must be a Python float."""
+    assert all(type(v) is float for v in values), [type(v) for v in values]
+    return [v.hex() for v in values]
+
+
+def _want_bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _same_outcome(got, want):
+    """Every branch probability and branch coefficient equal to the last bit."""
+    assert _bits(got.probabilities) == _want_bits(want.probabilities)
+    assert len(got.states) == len(want.states)
+    for g, w in zip(got.states, want.states):
+        assert _bits(g.coefficients) == _want_bits(w.coefficients)
+
+
+def _same_er(state):
+    got = er_bell_diagonal(state)
+    assert type(got.value) is float
+    if got.certificate is None:
+        assert state.max_coefficient <= 0.5
+        return
+    want = bell_diagonal_minimizer_array_form(state)
+    assert _bits(got.certificate.weights) == _want_bits(want.weights)
+    assert got.certificate.product_states == want.product_states
+    for g, w in zip(got.certificate.product_states, want.product_states):
+        assert _bits([x for qubit in g for x in qubit]) == _want_bits([x for qubit in w for x in qubit])
+
+
+def _branch_map_or_error(branch_map, pair1, pair2):
+    try:
+        return branch_map(pair1, pair2)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=BELL_WEIGHTS,
+    other=BELL_WEIGHTS,
+    p=st.sampled_from([0.0, 0.5, 0.75]) | st.floats(0.0, 0.75),
+    gamma=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+)
+@example(weights=[1.0, -0.0, 0.0, 0.0], other=[0.25] * 4, p=0.0, gamma=1.0)  # a running sum would keep the -0.0
+def test_bell_layer_matches_array_form_bit_for_bit(weights, other, p, gamma):
+    state, second = BellDiagonalState(weights), BellDiagonalState(other)
+    got = _branch_map_or_error(dejmps_branch_map, state, second)
+    want = _branch_map_or_error(dejmps_branch_map_array_form, state, second)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _same_outcome(got, want)
+
+    distilled = []
+    for n_pairs in (1, 2, 4, 8, 16, 32, 64):
+        for rounds in range(n_pairs.bit_length()):
+            got = dejmps_recursive(n_pairs, state, rounds)
+            with mock.patch.object(protocols, "dejmps_branch_map", dejmps_branch_map_array_form):
+                want = dejmps_recursive(n_pairs, state, rounds)
+            _same_outcome(got, want)
+            mixtures = [
+                (got.global_state, mix_array_form(want, lambda s: np.asarray(s.coefficients))),
+                (got.global_with_placeholder_trash(), mix_array_form(want, lambda s: 0.25)),
+            ]
+            for g, w in mixtures:
+                assert _bits(g.coefficients) == _want_bits(w.coefficients)
+            distilled += [got.selected_state, got.global_state]
+
+    # Rebuilt drawn weights give _bell_weights tiny negative entries to clip.
+    pairs = [state.to_density_matrix(), second.to_density_matrix()]
+    pairs += [
+        transmit_bell_pair(channel, sides)
+        for channel in (depolarizing(p), amplitude_damping(gamma), pauli_twirl(amplitude_damping(gamma)))
+        for sides in ("one", "two")
+    ]
+    projected = []
+    for rho in pairs:
+        g, w = bell_projection(rho), bell_projection_array_form(rho)
+        assert _bits(g.coefficients) == _want_bits(w.coefficients)
+        projected.append(g)
+    for s in [state, second, *distilled, *projected]:
+        _same_er(s)
