@@ -6,9 +6,10 @@ channel draws and its sampled runs, one vectorized categorical draw compared
 against the exact branch table. The table rows are exact, so ``table1`` and
 ``table2`` give the same result under every seed. Their runners are in
 :mod:`entshape.harness.tables`, which :func:`run` imports only for them.
-Output files are written atomically (temp file + rename); the wall-clock
-field is the only part of a result that varies between identical
-invocations.
+:func:`run` builds each result, its runner fills it, and
+:func:`write_output` writes every output file atomically (temp file +
+rename) and lists it; the wall-clock field is the only part of a result
+that varies between identical invocations.
 """
 
 from __future__ import annotations
@@ -110,11 +111,18 @@ def _dump_json(document: dict) -> str:
     return json.dumps(_jsonable(document), indent=2, allow_nan=False) + "\n"
 
 
-def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_output(result: ExperimentResult, name: str, text: str) -> None:
+    """Write one file into the run's output directory and list it in the result."""
+    path = Path(result.config.out_dir) / name
+    atomic_write_text(path, text)
+    result.files.append(str(path))
+
+
+def write_csv(result: ExperimentResult, name: str, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Header line, then one line per row: strings raw, numbers by repr."""
     lines = [",".join(columns)]
     lines += [",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_output(result, name, "\n".join(lines) + "\n")
 
 
 def _per_transit_factor(bridge: str) -> float:
@@ -159,8 +167,7 @@ def parallel_branch_indices(
     return sample_branch_indices(probs, seed, count)
 
 
-def run_flow(cfg: ExperimentConfig) -> ExperimentResult:
-    result = ExperimentResult("flow", cfg)
+def run_flow(cfg: ExperimentConfig, result: ExperimentResult) -> None:
     p_prime = cfg.p_prime if cfg.p_prime is not None else DEFAULT_P_PRIME
     post_traj, pes_traj = trajectory(cfg.p, p_prime, 1.0, cfg.t_total, cfg.t_step)
 
@@ -189,19 +196,12 @@ def run_flow(cfg: ExperimentConfig) -> ExperimentResult:
     if points[2]["er_bits"] < points[0]["er_bits"]:
         result.ok = False
 
-    out_dir = Path(cfg.out_dir)
     for name, traj in (("post", post_traj), ("pes", pes_traj)):
-        path = out_dir / f"{name}_trajectory.csv"
-        write_csv(path, ("t", "fidelity", "er_bits", "mixedness"), traj)
-        result.files.append(str(path))
-    path = out_dir / "flow_points.csv"
-    write_csv(path, tuple(points[0]), (pt.values() for pt in points))
-    result.files.append(str(path))
-    return result
+        write_csv(result, f"{name}_trajectory.csv", ("t", "fidelity", "er_bits", "mixedness"), traj)
+    write_csv(result, "flow_points.csv", tuple(points[0]), (pt.values() for pt in points))
 
 
-def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    result = ExperimentResult("sweep", cfg)
+def run_sweep(cfg: ExperimentConfig, result: ExperimentResult) -> None:
     ratio = 0.85 if cfg.p_prime is None else None
     grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
     for p in grid:
@@ -221,14 +221,10 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
                     "success_probability": exact.success_probability,
                 }
                 result.rows.append(row)
-    path = Path(cfg.out_dir) / "sweep.csv"
-    write_csv(path, tuple(result.rows[0]), (row.values() for row in result.rows))
-    result.files.append(str(path))
-    return result
+    write_csv(result, "sweep.csv", tuple(result.rows[0]), (row.values() for row in result.rows))
 
 
-def run_er_single(cfg: ExperimentConfig) -> ExperimentResult:
-    result = ExperimentResult("er", cfg)
+def run_er_single(cfg: ExperimentConfig, result: ExperimentResult) -> None:
     # An unconverged numeric value is still a valid upper bound; it is
     # surfaced through the converged flag rather than failing the run.
     _, make_state = ER_FAMILIES[cfg.er_state]
@@ -251,12 +247,10 @@ def run_er_single(cfg: ExperimentConfig) -> ExperimentResult:
         row["er_closed_form"] = None
         row["er_fidelity_form"] = None
     result.rows.append(row)
-    return result
 
 
-def run_selfcheck(cfg: ExperimentConfig) -> ExperimentResult:
+def run_selfcheck(cfg: ExperimentConfig, result: ExperimentResult) -> None:
     """Oracle batteries; any failure flips ``ok`` and the CLI exits nonzero."""
-    result = ExperimentResult("selfcheck", cfg)
     checks: list[tuple[str, bool, str]] = []
 
     # The closed form must lie in every certified interval [lower, value].
@@ -314,7 +308,6 @@ def run_selfcheck(cfg: ExperimentConfig) -> ExperimentResult:
         result.rows.append({"check": name, "ok": ok, "detail": detail})
         if not ok:
             result.ok = False
-    return result
 
 
 # The table runners live in .tables, imported by run() only when a table runs.
@@ -327,7 +320,7 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> ExperimentResult:
-    """Validate, dispatch, and persist one experiment."""
+    """Validate, build the result, let the experiment's runner fill it, and persist it."""
     cfg.validate()
     if cfg.experiment not in READS_CONVENTION:
         # An unread convention is echoed as "", so it cannot change the result bytes.
@@ -338,16 +331,14 @@ def run(cfg: ExperimentConfig) -> ExperimentResult:
         runner = getattr(tables, f"run_{cfg.experiment}")
     else:
         runner = _RUNNERS[cfg.experiment]
+    result = ExperimentResult(cfg.experiment, cfg)
     start = time.monotonic()
-    result = runner(cfg)
+    runner(cfg, result)
     result.wall_clock_seconds = time.monotonic() - start
 
-    out_dir = Path(cfg.out_dir)
-    doc_path = out_dir / f"{cfg.experiment}_result.json"
-    atomic_write_text(doc_path, _dump_json(result.to_document()))
-    result.files.append(str(doc_path))
+    # Serialized before write_output lists its path, so the document does not list itself.
+    write_output(result, f"{cfg.experiment}_result.json", _dump_json(result.to_document()))
     if result.discrepancies:
-        report_path = out_dir / f"{cfg.experiment}_discrepancy_report.txt"
-        atomic_write_text(report_path, render_report(result.experiment, result.discrepancies))
-        result.files.append(str(report_path))
+        report = render_report(cfg.experiment, result.discrepancies)
+        write_output(result, f"{cfg.experiment}_discrepancy_report.txt", report)
     return result

@@ -205,8 +205,7 @@ def _nearest_reading_records(
     return records
 
 
-def run_table1(cfg: ExperimentConfig) -> ExperimentResult:
-    result = ExperimentResult("table1", cfg)
+def run_table1(cfg: ExperimentConfig, result: ExperimentResult) -> None:
     target = claim("table1_pes").value
     pinned = cfg.p_prime if cfg.p_prime is not None else DEFAULT_P_PRIME
     post, calibrated, pes = {}, {}, []
@@ -266,11 +265,9 @@ def run_table1(cfg: ExperimentConfig) -> ExperimentResult:
             "achieved_ratio": ratio,
         }
     )
-    return result
 
 
-def run_table2(cfg: ExperimentConfig) -> ExperimentResult:
-    result = ExperimentResult("table2", cfg)
+def run_table2(cfg: ExperimentConfig, result: ExperimentResult) -> None:
     post = {}
     for geometry in readings(cfg.sides, SIDES):
         state = bell_projection(transmit_bell_pair(amplitude_damping(cfg.gamma), geometry))
@@ -337,4 +334,3 @@ def run_table2(cfg: ExperimentConfig) -> ExperimentResult:
         **_static_records(),
     }
     result.discrepancies += [discrepancy_entry(claim(key), *record) for key, record in records.items()]
-    return result

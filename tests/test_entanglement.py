@@ -30,6 +30,7 @@ from helpers import (
     assemble_by_kron,
     bell_state,
     er_pure,
+    er_vedral_plenio,
     maximally_mixed,
     random_density_matrix,
     random_pure_state,
@@ -889,3 +890,67 @@ class TestSeparableAnsatz:
         ket = entanglement._ket(*ree_general._angles(v))
         overlap = np.vdot(ket, v)
         assert np.abs(ket * overlap / abs(overlap) - v).max() <= 1e-15
+
+
+SEPARATION_GAMMAS = (0.001, 0.01, 0.1, 0.3, 0.5, 0.8, 0.9, 0.99)
+
+
+class TestSameChannelSeparation:
+    """The shaping separation on one channel, for a fixed Phi+ source (ROADMAP item 17).
+
+    A y-rotation by pi on qubit A turns Phi+ into Psi- up to a sign. Two-sided
+    damping sends Psi- to a Vedral-Plenio state, whose REE is a closed form;
+    it exceeds the REE of damped Phi+ itself, the ceiling on what any LOCC
+    post-processing of the unshaped pairs keeps per pair.
+    """
+
+    @staticmethod
+    def shaped_damped_pair(gamma):
+        ry_pi = np.array([[0.0, -1.0], [1.0, 0.0]])
+        psi = np.kron(ry_pi, np.eye(2)) @ bell_state(0)
+        rho = DensityMatrix.from_state_vector(psi)
+        channel = amplitude_damping(gamma)
+        return apply(channel, apply(channel, rho, target=1), target=0)
+
+    @pytest.mark.parametrize("gamma", SEPARATION_GAMMAS)
+    def test_closed_form_lies_in_certified_interval(self, gamma):
+        res = er_numeric(self.shaped_damped_pair(gamma))
+        assert res.converged
+        assert res.lower - 1e-15 <= er_vedral_plenio(1 - gamma) <= res.value + 1e-15
+
+    @pytest.mark.parametrize("gamma", SEPARATION_GAMMAS)
+    def test_closed_form_exceeds_phi_plus_ceiling(self, gamma):
+        ceiling = er_numeric(transmit_bell_pair(amplitude_damping(gamma), "two"))
+        assert ceiling.converged
+        assert er_vedral_plenio(1 - gamma) > ceiling.value
+
+
+NULL_CHANNELS = {
+    "depolarizing_one_side": (depolarizing(0.2), "one"),
+    "depolarizing_both_sides": (depolarizing(0.2), "two"),
+    "damping_one_side": (amplitude_damping(0.3), "one"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NULL_CHANNELS))
+@pytest.mark.parametrize("seed", range(12))
+def test_pre_channel_local_unitary_leaves_er_unchanged(name, seed):
+    """No local unitary on Phi+ before these channels changes the output's REE.
+
+    (U_A x U_B)|Phi+> = (U_A U_B^T x I)|Phi+>, so after a channel on qubit B
+    alone the rotation is a local unitary on the output. The depolarizing
+    channel commutes with every unitary, so on both sides the rotation passes
+    through it. Two-sided damping is left out: it commutes only with
+    z-rotations, the output's REE depends on the input, and that is where
+    shaping gains (ROADMAP item 1).
+    """
+    channel, sides = NULL_CHANNELS[name]
+    u = random_product_unitary(np.random.default_rng(seed))
+    rho = DensityMatrix.from_state_vector(u @ bell_state(0))
+    rho = apply(channel, rho, target=1)
+    if sides == "two":
+        rho = apply(channel, rho, target=0)
+    res = er_numeric(rho)
+    unrotated = er_numeric(transmit_bell_pair(channel, sides))
+    assert res.converged and unrotated.converged
+    assert abs(res.value - unrotated.value) <= 1e-12
