@@ -37,6 +37,8 @@ def discrepancy_entry(
     extra: dict | None = None,
 ) -> dict:
     """One claim-vs-computation record, its status decided by ``_is_reproduced``."""
+    compares = claimed.value is not None and computed is not None and math.isfinite(computed)
+    gap = abs(computed - claimed.value) if compares else None
     entry = {
         "claim": claimed.key,
         "statement": claimed.statement,
@@ -46,18 +48,10 @@ def discrepancy_entry(
         "computed_value": computed,
         "method": method,
         "status": "reproduced" if _is_reproduced(claimed, computed) else "discrepant",
-    }
-    if claimed.value is not None and computed is not None and math.isfinite(computed):
-        entry["absolute_gap"] = abs(computed - claimed.value)
+        "absolute_gap": gap,
         # A claimed value of zero has no meaningful relative scale.
-        entry["relative_gap"] = (
-            abs(computed - claimed.value) / abs(claimed.value)
-            if abs(claimed.value) > 1e-9
-            else None
-        )
-    else:
-        entry["absolute_gap"] = None
-        entry["relative_gap"] = None
+        "relative_gap": gap / abs(claimed.value) if compares and abs(claimed.value) > 1e-9 else None,
+    }
     if extra:
         entry.update(extra)
     return entry

@@ -276,7 +276,7 @@ def _product_max(g: np.ndarray) -> float:
     lo, hi = 0.0, math.hypot(*alpha) + math.hypot(*beta) + float(np.linalg.norm(tt))
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (lo, mid) if bounds(mid) else (mid, hi)
-    return c + hi
+    return float(c) + hi
 
 
 

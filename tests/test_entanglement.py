@@ -893,6 +893,8 @@ class TestSeparableAnsatz:
 
 
 SEPARATION_GAMMAS = (0.001, 0.01, 0.1, 0.3, 0.5, 0.8, 0.9, 0.99)
+# ROADMAP item 1's table: E_R (bits) of (R_y(beta) x I)|Phi+> under two-sided damping at gamma = 0.3.
+BETA_ROWS = {math.pi / 4: 0.215540, math.pi / 2: 0.257002, 3 * math.pi / 4: 0.280157}
 
 
 class TestSameChannelSeparation:
@@ -905,12 +907,19 @@ class TestSameChannelSeparation:
     """
 
     @staticmethod
-    def shaped_damped_pair(gamma):
-        ry_pi = np.array([[0.0, -1.0], [1.0, 0.0]])
-        psi = np.kron(ry_pi, np.eye(2)) @ bell_state(0)
+    def two_sided_damped(rotation, gamma):
+        """(rotation x I)|Phi+> under amplitude damping at gamma on both qubits."""
+        psi = np.kron(rotation, np.eye(2)) @ bell_state(0)
         rho = DensityMatrix.from_state_vector(psi)
         channel = amplitude_damping(gamma)
         return apply(channel, apply(channel, rho, target=1), target=0)
+
+    def shaped_damped_pair(self, gamma):
+        return self.two_sided_damped(np.array([[0.0, -1.0], [1.0, 0.0]]), gamma)
+
+    def beta_damped_pair(self, beta):
+        c, s = math.cos(beta / 2), math.sin(beta / 2)
+        return self.two_sided_damped(np.array([[c, -s], [s, c]]), 0.3)
 
     @pytest.mark.parametrize("gamma", SEPARATION_GAMMAS)
     def test_closed_form_lies_in_certified_interval(self, gamma):
@@ -923,6 +932,26 @@ class TestSameChannelSeparation:
         ceiling = er_numeric(transmit_bell_pair(amplitude_damping(gamma), "two"))
         assert ceiling.converged
         assert er_vedral_plenio(1 - gamma) > ceiling.value
+
+    @pytest.mark.parametrize("beta", sorted(BETA_ROWS))
+    def test_beta_row_on_general_path(self, beta):
+        res = er_numeric(self.beta_damped_pair(beta))
+        assert res.converged
+        assert abs(res.value - BETA_ROWS[beta]) <= 5e-7
+
+    def test_beta_rows_rise_from_phi_plus_ceiling_to_closed_form(self):
+        ceiling = er_numeric(transmit_bell_pair(amplitude_damping(0.3), "two")).value
+        rows = [er_numeric(self.beta_damped_pair(beta)).value for beta in sorted(BETA_ROWS)]
+        assert ceiling < rows[0] < rows[1] < rows[2] < er_vedral_plenio(0.7)
+
+    def test_beta_and_two_pi_minus_beta_agree(self):
+        a, b = (er_numeric(self.beta_damped_pair(beta)).value for beta in (math.pi / 2, 3 * math.pi / 2))
+        assert abs(a - b) <= 1e-12
+
+    def test_barrier_result_holds_builtin_types(self):
+        res = _er_ppt_barrier(self.beta_damped_pair(math.pi / 2))
+        assert type(res.lower) is float
+        assert type(res.converged) is bool
 
 
 NULL_CHANNELS = {
