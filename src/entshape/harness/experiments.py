@@ -92,18 +92,13 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def _jsonable(obj):
-    """Recursively convert numpy scalars and non-finite floats for JSON."""
+    """Tuples as lists and a non-finite float as its repr; the runners give every other leaf as a JSON scalar."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        return value if math.isfinite(value) else repr(value)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
     return obj
 
 
@@ -203,19 +198,19 @@ def run_flow(cfg: ExperimentConfig, result: ExperimentResult) -> None:
 
 def run_sweep(cfg: ExperimentConfig, result: ExperimentResult) -> None:
     ratio = 0.85 if cfg.p_prime is None else None
-    grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
+    grid = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count).tolist()
     for p in grid:
         for bridge in readings(cfg.convention, CONVENTIONS):
             for geometry in readings(cfg.sides, SIDES):
                 p_prime = cfg.p_prime if cfg.p_prime is not None else ratio * p
-                state = input_pair_state(bridge, geometry, float(p))
-                pes_state = input_pair_state(bridge, geometry, float(p_prime))
+                state = input_pair_state(bridge, geometry, p)
+                pes_state = input_pair_state(bridge, geometry, p_prime)
                 exact = dejmps_recursive(cfg.n_pairs, state, cfg.rounds)
                 row = {
-                    "p": float(p),
+                    "p": p,
                     "convention": bridge,
                     "sides": geometry,
-                    "p_prime": float(p_prime),
+                    "p_prime": p_prime,
                     "er_post_pair": er_bell_diagonal(state).value,
                     "er_pes_pair": er_bell_diagonal(pes_state).value,
                     "success_probability": exact.success_probability,
@@ -273,8 +268,8 @@ def run_selfcheck(cfg: ExperimentConfig, result: ExperimentResult) -> None:
     checks.append(("mc_vs_exact_fidelity", fgap <= flimit, f"gap {fgap:.4f} vs 3se {flimit:.4f}"))
 
     worst_rel = 0.0
-    for f in np.linspace(0.55, 0.95, 10):
-        for p in np.linspace(0.05, 0.5, 10):
+    for f in np.linspace(0.55, 0.95, 10).tolist():
+        for p in np.linspace(0.05, 0.5, 10).tolist():
             h = 1e-5
             t0 = -math.log(f) / p  # time at which F(t) = f starting from F0 = 1
             fd_rate = (

@@ -281,7 +281,7 @@ def run_table2(cfg: ExperimentConfig, result: ExperimentResult) -> None:
     plain = damped_er(cfg.gamma)
     raw, compressed = damped_er(0.5), damped_er(0.85 * 0.5)
     delta = compressed.value - raw.value
-    interval = [float(compressed.lower) - raw.value, compressed.value - float(raw.lower)]
+    interval = [compressed.lower - raw.value, compressed.value - raw.lower]
     result.rows.append(
         {
             "protocol": "pre_channel_shaping",
@@ -322,7 +322,7 @@ def run_table2(cfg: ExperimentConfig, result: ExperimentResult) -> None:
             "transmitted qubit into a local unitary on the kept qubit after the "
             "channel, and relative entropy of entanglement is invariant under "
             "local unitaries",
-            {"interval": [float(plain.lower), plain.value]},
+            {"interval": [plain.lower, plain.value]},
         ),
         "ad_delta": (
             delta,

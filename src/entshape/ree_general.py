@@ -228,7 +228,7 @@ def _product_decomposition(sigma: np.ndarray) -> SeparableAnsatz:
     weights, atoms = [], []
     for z in ((x * np.exp(-0.5j * theta)) @ _HADAMARD).T:
         left, svals, right = np.linalg.svd(z.reshape(2, 2))
-        weights.append(svals[0] ** 2)
+        weights.append(float(svals[0] ** 2))
         atoms.append((_angles(left[:, 0]), _angles(right[0])))
     total = sum(weights)
     return SeparableAnsatz(tuple(w / total for w in weights), tuple(atoms))

@@ -948,10 +948,23 @@ class TestSameChannelSeparation:
         a, b = (er_numeric(self.beta_damped_pair(beta)).value for beta in (math.pi / 2, 3 * math.pi / 2))
         assert abs(a - b) <= 1e-12
 
-    def test_barrier_result_holds_builtin_types(self):
-        res = _er_ppt_barrier(self.beta_damped_pair(math.pi / 2))
-        assert type(res.lower) is float
-        assert type(res.converged) is bool
+    @pytest.mark.parametrize("path", ["x_state", "front_end", "barrier"])
+    def test_result_holds_builtin_types(self, path):
+        # A damped pair is an exact X state; turning its qubit B by R_y(pi/3)
+        # after the channel sends it through the front end, which rotates it back.
+        pair = transmit_bell_pair(amplitude_damping(0.3))
+        c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
+        turn = np.kron(np.eye(2), [[c, -s], [s, c]])
+        solve, rho = {
+            "x_state": (ree._er_x_state, pair),
+            "front_end": (ree_general._er_x_frame, DensityMatrix(turn @ pair.matrix @ turn.T, (2, 2))),
+            "barrier": (_er_ppt_barrier, self.beta_damped_pair(math.pi / 2)),
+        }[path]
+        res = solve(rho)
+        assert (type(res.value), type(res.lower), type(res.converged), type(res.iterations)) == (float, float, bool, int)
+        assert {type(w) for w in res.certificate.weights} == {float}
+        angles = [angle for atom in res.certificate.product_states for qubit in atom for angle in qubit]
+        assert {type(angle) for angle in angles} == {float}
 
 
 NULL_CHANNELS = {

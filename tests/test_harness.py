@@ -21,6 +21,7 @@ from entshape.harness.config import (
     MAX_N_PAIRS,
     MAX_SWEEP_COUNT,
     MAX_TRAJECTORY_SAMPLES,
+    READS_CONVENTION,
     SIDES,
     ConfigError,
     ExperimentConfig,
@@ -384,6 +385,26 @@ class TestExperiments:
                 assert row["er_per_pair_oracle"] == pytest.approx(0.0444, abs=1e-4)
                 assert row["er_per_pair_fidelity_form"] == pytest.approx(0.3021, abs=1e-4)
 
+    @pytest.mark.parametrize("experiment", ["table1", "table2", "flow", "sweep", "er", "selfcheck"])
+    def test_result_document_holds_only_builtins(self, tmp_path, experiment):
+        # The writer converts only non-finite floats, so every leaf must already be a JSON scalar.
+        def leaves(node, where):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    yield from leaves(value, f"{where}.{key}")
+            elif isinstance(node, (list, tuple)):
+                for index, value in enumerate(node):
+                    yield from leaves(value, f"{where}[{index}]")
+            else:
+                yield where, type(node)
+
+        overrides = {"out_dir": str(tmp_path)}
+        if experiment in READS_CONVENTION:
+            overrides["convention"] = "both"
+        document = run(build_config(experiment, overrides)).to_document()
+        builtins = (str, bool, int, float, type(None))
+        assert [(where, kind) for where, kind in leaves(document, "") if kind not in builtins] == []
+
     def test_table2_damping_gap_carries_interval(self, tmp_path):
         cfg = build_config(
             "table2",
@@ -582,6 +603,14 @@ class TestCLI:
     def test_check_exit_zero(self, tmp_path):
         proc = cli("check", "--out", str(tmp_path), "--quiet")
         assert proc.returncode == 0, proc.stderr
+
+    def test_config_file_not_utf8_exits_two(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"p = 0.2\n# caf\xe9\n")  # a Latin-1 byte in a comment
+        proc = cli("table1", "--convention", "both", "--config", str(path), "--out", str(tmp_path), "--quiet")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "cannot read config file" in proc.stderr
 
     def test_missing_convention_exits_two(self, tmp_path):
         proc = cli("table1", "--out", str(tmp_path))
