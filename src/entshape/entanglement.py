@@ -4,6 +4,8 @@ Closed forms:
 
 * Bell-diagonal states with largest weight lam: 0 for lam <= 1/2, else
   1 - H2(lam), with the minimizing separable state known explicitly.
+* lam |Psi-><Psi-| + (1 - lam)|00><00| (Vedral & Plenio 1998), the state
+  two-sided amplitude damping at 1 - lam makes of Psi-.
 
 For everything else, :func:`er_numeric` returns a certified interval
 [``lower``, ``value``]: ``value`` is the relative entropy to an explicit
@@ -125,6 +127,17 @@ def er_bell_diagonal(state: BellDiagonalState) -> ERResult:
         return ERResult(0.0)
     value = 1.0 - binary_entropy(lam)
     return ERResult(value, certificate=_bell_diagonal_minimizer(state))
+
+
+def er_vedral_plenio(lam: float) -> float:
+    """Closed-form REE of lam |Psi-><Psi-| + (1 - lam) |00><00| (Vedral & Plenio 1998), in bits.
+
+    Two-sided amplitude damping at gamma sends |Psi-> to this state at
+    lam = 1 - gamma.
+    """
+    if lam == 1:
+        return 1.0
+    return (lam - 2) * math.log2(1 - lam / 2) + (1 - lam) * math.log2(1 - lam)
 
 
 def er_bell_fidelity(fidelity: float) -> float:

@@ -11,7 +11,7 @@ import math
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # annotations only: the claims registry loads with the table runners
-    from .claims import Claim
+    from .tables import Claim
 
 # Bare numbers are quoted to at most two or three significant figures, so
 # they get a 1% relative window; every known-bad arithmetic entry misses it
@@ -19,10 +19,14 @@ if TYPE_CHECKING:  # annotations only: the claims registry loads with the table 
 RELATIVE_WINDOW = 1e-2
 
 
-def _is_reproduced(claimed: Claim, computed: float) -> bool:
-    """The one verdict rule: within 3 stated spreads, else within 1% of a bare
-    claimed number; a claim with no number or a non-finite value is discrepant."""
-    if claimed.value is None or computed is None or not math.isfinite(computed):
+def _is_reproduced(claimed: Claim, computed: float | bool | None) -> bool:
+    """The one verdict rule: a claim with no number is a predicate, reproduced
+    only when its computed value is True (False, or None for "not decided", is
+    discrepant); a claimed number is reproduced within 3 stated spreads, else
+    within 1% of a bare number, and a non-finite value is discrepant."""
+    if claimed.value is None:
+        return computed is True
+    if computed is None or not math.isfinite(computed):
         return False
     if claimed.std is not None:
         return abs(computed - claimed.value) <= 3 * claimed.std
@@ -32,7 +36,7 @@ def _is_reproduced(claimed: Claim, computed: float) -> bool:
 
 def discrepancy_entry(
     claimed: Claim,
-    computed: float | None,
+    computed: float | bool | None,
     method: str,
     extra: dict | None = None,
 ) -> dict:

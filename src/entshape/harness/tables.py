@@ -1,5 +1,7 @@
-"""The ``table1`` and ``table2`` runners: comparison rows and claim checks.
+"""The claims registry and the ``table1`` and ``table2`` runners.
 
+``CLAIMS`` holds each claimed value under reproduction: its number (with
+the stated spread when one was given), or none for a qualitative claim.
 Each claim check is a record, claim key -> (computed value, method text[,
 extra fields]). Both tables share the eight static records and one
 nearest-reading rule for their post-distillation claims; each adds its own
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +29,161 @@ from ..channels import (
     transmit_bell_pair,
 )
 from ..dynamics import er_production_rate
-from ..entanglement import er_bell_diagonal, er_numeric
+from ..entanglement import CERTIFIED_GAP, ERResult, er_bell_diagonal, er_numeric, er_vedral_plenio
 from ..protocols import dejmps_recursive, hashing_rate
 from ..qstate import BellDiagonalState, bell_projection, binary_entropy
-from .claims import CLAIMS, claim
 from .config import CONVENTIONS, DEFAULT_P_PRIME, SIDES, ExperimentConfig, readings
 from .experiments import ExperimentResult, _per_transit_factor, er_pair, input_pair_state
 from .report import discrepancy_entry
+
+
+@dataclass(frozen=True)
+class Claim:
+    key: str
+    statement: str
+    where: str
+    value: float | None
+    std: float | None = None
+
+
+CLAIMS: dict[str, Claim] = {
+    c.key: c
+    for c in [
+        Claim(
+            "h2_0915",
+            "H2(0.915) ~ 0.456",
+            "proof appendix, worked decoupling example",
+            0.456,
+        ),
+        Claim(
+            "er_werner_083",
+            "E_R at Werner fidelity 0.83 ~ 0.544 bits per pair",
+            "proof appendix, worked decoupling example",
+            0.544,
+        ),
+        Claim(
+            "hashing_rate_p02",
+            "1 - H2(p) - p log2(3) is an achievable distillation rate at p = 0.2",
+            "main text, channel construction",
+            None,
+        ),
+        Claim(
+            "eb_threshold",
+            "the depolarizing channel is not entanglement-breaking for p < 3/4",
+            "main text and proof appendix, channel domain",
+            0.75,
+        ),
+        Claim(
+            "dd_limit",
+            "p' -> 0 as the pulse frequency grows, with p' = p exp(-gamma/f)",
+            "main text, decoupling construction",
+            0.0,
+        ),
+        Claim(
+            "fidelity_bridge",
+            "the channel output equals the F-mixture Werner state with F = 1 - p",
+            "proof appendix, channel output form",
+            None,
+        ),
+        Claim(
+            "pulse_average_compression",
+            "averaging over a Pauli pulse set compresses the depolarizing parameter",
+            "proof appendix, pulse-average construction",
+            None,
+        ),
+        Claim(
+            "rate_sign",
+            "the entanglement rate along the unshaped evolution satisfies dE/dt >= 0",
+            "main text, rate-comparison statement",
+            None,
+        ),
+        Claim(
+            "table1_er_global",
+            "recurrence-distillation global E_R = 0.013 +/- 0.004 at p = 0.2",
+            "results table, depolarizing row",
+            0.013,
+            0.004,
+        ),
+        Claim(
+            "table1_success",
+            "recurrence-distillation success probability = 0.31 +/- 0.02 at p = 0.2",
+            "results table, depolarizing row",
+            0.31,
+            0.02,
+        ),
+        Claim(
+            "table1_rate",
+            "effective distillable rate 0.004 at p = 0.2",
+            "results table, depolarizing row",
+            0.004,
+        ),
+        Claim(
+            "table1_pes",
+            "shaping-pipeline per-pair E_R = 0.187 +/- 0.009 at p = 0.2",
+            "results table, shaping row",
+            0.187,
+            0.009,
+        ),
+        Claim(
+            "table1_er_selected",
+            "success-branch E_R ~ 0.78 for four pairs at p = 0.2",
+            "proof appendix, recurrence worked example",
+            0.78,
+        ),
+        Claim(
+            "table2_er_global",
+            "recurrence-distillation global E_R = 0.021 +/- 0.006 at gamma = 0.3",
+            "damping results table",
+            0.021,
+            0.006,
+        ),
+        Claim(
+            "table2_success",
+            "recurrence-distillation success probability = 0.28 +/- 0.02 at gamma = 0.3",
+            "damping results table",
+            0.28,
+            0.02,
+        ),
+        Claim(
+            "table2_rate",
+            "effective distillable rate 0.006 at gamma = 0.3",
+            "damping results table",
+            0.006,
+        ),
+        Claim(
+            "table2_pes",
+            "shaping-pipeline per-pair E_R = 0.156 +/- 0.011 at gamma = 0.3",
+            "damping results table",
+            0.156,
+            0.011,
+        ),
+        Claim(
+            "ratio_14",
+            "the shaping pipeline retains a factor 14 more global E_R than distillation",
+            "flow figure caption",
+            14.0,
+        ),
+        Claim(
+            "ad_delta",
+            "integrated suppression ~ 0.135 for damping gamma = 0.5",
+            "proof appendix, damping check",
+            0.135,
+        ),
+        Claim(
+            "pes_calibration",
+            "per-pair E_R 0.187 is reachable with finite decoupling from p = 0.2",
+            "proof appendix, worked decoupling example",
+            0.187,
+        ),
+        Claim(
+            "same_channel_separation",
+            "shaping ends at a state 'whose relative entropy of entanglement strictly "
+            "exceeds the maximum achievable by post-distillation from the same channel'",
+            "abstract, separation statement",
+            None,
+        ),
+    ]
+}
 
 
 def calibrate_p_prime(target_er: float, bridge: str, geometry: str) -> dict:
@@ -120,7 +271,11 @@ def _pes_row(cfg: ExperimentConfig, bridge: str, geometry: str, p_prime: float, 
 
 
 def _static_records() -> dict[str, tuple]:
-    """The eight always-reported claim records, which need no experiment context."""
+    """The eight always-reported claim records, which need no experiment context.
+
+    Each qualitative claim's computed value is whether its statement holds,
+    and its ``evidence`` field is the number that decides it.
+    """
     h2 = binary_entropy(0.915)
     oracle = input_pair_state("oracle", "one", 0.2)
     paper = input_pair_state("paper", "one", 0.2)
@@ -129,6 +284,8 @@ def _static_records() -> dict[str, tuple]:
     # depolarizing channel unchanged.
     probe = transmit_bell_pair(dd_effective_pulse_average(depolarizing(0.2)))
     distance_to_flat = float(np.abs(probe.matrix - np.kron(np.eye(2) / 2, np.eye(2) / 2)).max())
+    rate = hashing_rate(0.2)
+    slope = er_production_rate(0.8, 0.2)
     return {
         "h2_0915": (h2, "direct evaluation"),
         "er_werner_083": (
@@ -136,7 +293,11 @@ def _static_records() -> dict[str, tuple]:
             "fidelity-form closed form at F = 0.83 with correct arithmetic",
             {"oracle_reading": er_bell_diagonal(input_pair_state("oracle", "one", 0.17)).value},
         ),
-        "hashing_rate_p02": (hashing_rate(0.2), "direct evaluation; negative, so not achievable as stated"),
+        "hashing_rate_p02": (
+            rate >= 0,
+            "direct evaluation; negative, so not achievable as stated",
+            {"evidence": rate},
+        ),
         "eb_threshold": (
             eb_threshold_depolarizing(),
             "closed form: the Choi state's partial transpose has eigenvalues 1/2 - c_k, "
@@ -149,22 +310,26 @@ def _static_records() -> dict[str, tuple]:
             "exp(-gamma_sd / f_dd) -> 1 as f_dd -> infinity, so p' -> p, not p' -> 0",
         ),
         "fidelity_bridge": (
-            oracle.fidelity,
+            oracle.coefficients == paper.coefficients,
             "Bell fidelity of the exact channel output at p = 0.2 is 1 - p = 0.8, but "
             f"the F-mixture state at F = 0.8 has fidelity {paper.fidelity:.4f}; the two "
             "parameterizations agree only at p = 0",
+            {"evidence": oracle.fidelity},
         ),
         "pulse_average_compression": (
-            distance_to_flat,
+            # A depolarized pair at p' has Phi+ weight 1 - p', so p' < p reads as weight > 1 - p.
+            bell_projection(probe).fidelity > 1 - 0.2,
             "max deviation of the pulse-averaged depolarizing output from I/2 on the "
             "transmitted side is zero: the displayed average destroys the state rather "
             "than compressing p; the conjugated twirl leaves a Pauli-covariant channel "
             "unchanged, so neither reading yields p' < p",
+            {"evidence": distance_to_flat},
         ),
         "rate_sign": (
-            er_production_rate(0.8, 0.2),
+            slope >= 0,
             "closed-form rate at F = 0.8, p = 0.2 is negative; the derived formula and "
             "the stated sign disagree, and the implemented invariant follows the formula",
+            {"evidence": slope},
         ),
     }
 
@@ -193,20 +358,59 @@ def _nearest_reading_records(
         key = f"{table}_{name}"
         if key in CLAIMS:
             values = {label: row[column] for label, row in post.items()}
-            label = min(values, key=lambda reading: abs(values[reading] - claim(key).value))
+            label = min(values, key=lambda reading: abs(values[reading] - CLAIMS[key].value))
             records[key] = (values[label], method(label, values))
     rates = {
         label: (row["rate_selected_per_pair"], row["rate_success_times_global"])
         for label, row in post.items()
     }
-    claimed = claim(f"{table}_rate").value
+    claimed = CLAIMS[f"{table}_rate"].value
     nearest = min((v for pair in rates.values() for v in pair), key=lambda v: abs(v - claimed))
     records[f"{table}_rate"] = (nearest, rate_method(rates))
     return records
 
 
+def _separation_record(gamma: float, geometry: str, one_sided: ERResult) -> tuple:
+    """``same_channel_separation`` on damping at gamma: the best shaped pair against the ceiling.
+
+    The ceiling is the certified interval of damped Phi+ itself, which no LOCC
+    post-processing of the unshaped pairs raises per pair. One-sided, the
+    shaped pair is a local unitary of it (``one_sided``'s solve), so the claim
+    is false. Two-sided, the Vedral-Plenio closed form certifies the claim
+    when it exceeds the ceiling's upper end by more than CERTIFIED_GAP bits,
+    and leaves it not decided otherwise.
+    """
+    if geometry == "one":
+        shaped, ceiling, holds = one_sided.value, one_sided, False
+        method = (
+            "one-sided damping: (I x U)|Phi+> = (U^T x I)|Phi+> turns every pre-channel "
+            "rotation into a local unitary after the channel, so shaping keeps the "
+            "ceiling's own REE and cannot exceed it"
+        )
+    else:
+        shaped = er_vedral_plenio(1 - gamma)
+        ceiling = er_numeric(transmit_bell_pair(amplitude_damping(gamma), "two"))
+        holds = True if shaped - ceiling.value > CERTIFIED_GAP else None
+        method = (
+            "two-sided damping: R_y(pi) on A sends Phi+ to Psi-, which the channel takes "
+            "to (1 - gamma)|Psi-><Psi-| + gamma|00><00|, whose REE is the Vedral-Plenio "
+            "closed form at 1 - gamma; it is compared with the upper end of the numeric "
+            "interval of damped Phi+, and holds when the margin exceeds the 1e-9 bit "
+            "certification gap"
+        )
+    extra = {
+        "sides": geometry,
+        "gamma": gamma,
+        "shaped_er": shaped,
+        "ceiling_interval": [ceiling.lower, ceiling.value],
+        "margin": shaped - ceiling.value,
+        "label": "fixed Phi+ source; pre-channel local unitaries; REE form",
+    }
+    return holds, method, extra
+
+
 def run_table1(cfg: ExperimentConfig, result: ExperimentResult) -> None:
-    target = claim("table1_pes").value
+    target = CLAIMS["table1_pes"].value
     pinned = cfg.p_prime if cfg.p_prime is not None else DEFAULT_P_PRIME
     post, calibrated, pes = {}, {}, []
     for bridge in readings(cfg.convention, CONVENTIONS):
@@ -256,7 +460,7 @@ def run_table1(cfg: ExperimentConfig, result: ExperimentResult) -> None:
             f"distillation global E_R (post floor across conventions: {floor_post:.6f})",
         ),
     }
-    result.discrepancies += [discrepancy_entry(claim(key), *record) for key, record in records.items()]
+    result.discrepancies += [discrepancy_entry(CLAIMS[key], *record) for key, record in records.items()]
     result.rows.append(
         {
             "protocol": "separation_summary",
@@ -333,4 +537,8 @@ def run_table2(cfg: ExperimentConfig, result: ExperimentResult) -> None:
         ),
         **_static_records(),
     }
-    result.discrepancies += [discrepancy_entry(claim(key), *record) for key, record in records.items()]
+    result.discrepancies += [discrepancy_entry(CLAIMS[key], *record) for key, record in records.items()]
+    result.discrepancies += [
+        discrepancy_entry(CLAIMS["same_channel_separation"], *_separation_record(cfg.gamma, geometry, plain))
+        for geometry in readings(cfg.sides, SIDES)
+    ]

@@ -86,17 +86,6 @@ def er_pure(psi, dims: tuple[int, int] = (2, 2)) -> ERResult:
     return ERResult(max(von_neumann_entropy(reduced), 0.0))
 
 
-def er_vedral_plenio(lam: float) -> float:
-    """Closed-form REE of lam |Psi-><Psi-| + (1 - lam) |00><00| (Vedral & Plenio 1998), in bits.
-
-    Two-sided amplitude damping at gamma sends |Psi-> to this state at
-    lam = 1 - gamma.
-    """
-    if lam == 1:
-        return 1.0
-    return (lam - 2) * math.log2(1 - lam / 2) + (1 - lam) * math.log2(1 - lam)
-
-
 def identity_channel(dim: int = 2) -> QuantumChannel:
     return QuantumChannel([np.eye(dim, dtype=complex)])
 

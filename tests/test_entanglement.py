@@ -14,6 +14,7 @@ from entshape.entanglement import (
     er_bell_diagonal,
     er_bell_fidelity,
     er_numeric,
+    er_vedral_plenio,
     negativity,
 )
 from entshape.qstate import (
@@ -30,7 +31,6 @@ from helpers import (
     assemble_by_kron,
     bell_state,
     er_pure,
-    er_vedral_plenio,
     maximally_mixed,
     random_density_matrix,
     random_pure_state,

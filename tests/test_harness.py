@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entshape import channels
-from entshape.entanglement import er_bell_diagonal
+from entshape.entanglement import er_bell_diagonal, er_numeric, er_vedral_plenio
 from entshape.harness import experiments, tables
-from entshape.harness.claims import CLAIMS, claim
 from entshape.harness.config import (
     CONVENTIONS,
     DEFAULT_P_PRIME,
@@ -30,7 +29,7 @@ from entshape.harness.config import (
     parse_value,
 )
 from entshape.harness.experiments import input_pair_state, run
-from entshape.harness.tables import calibrate_p_prime
+from entshape.harness.tables import CLAIMS, calibrate_p_prime
 from entshape.harness.report import _is_reproduced, discrepancy_entry, render_report
 from entshape.qstate import BellDiagonalState, DensityMatrix, binary_entropy, werner
 
@@ -305,29 +304,35 @@ class TestConventions:
 
 class TestReport:
     def test_reproduced_by_std_rule(self):
-        entry = discrepancy_entry(claim("table1_success"), 0.33, "test")
+        entry = discrepancy_entry(CLAIMS["table1_success"], 0.33, "test")
         assert entry["status"] == "reproduced"  # |0.33 - 0.31| <= 3 * 0.02
-        entry = discrepancy_entry(claim("table1_success"), 0.40, "test")
+        entry = discrepancy_entry(CLAIMS["table1_success"], 0.40, "test")
         assert entry["status"] == "discrepant"
 
     def test_relative_window_for_bare_claims(self):
-        entry = discrepancy_entry(claim("h2_0915"), 0.456, "test")
+        entry = discrepancy_entry(CLAIMS["h2_0915"], 0.456, "test")
         assert entry["status"] == "reproduced"
-        entry = discrepancy_entry(claim("h2_0915"), 0.4196, "test")
+        entry = discrepancy_entry(CLAIMS["h2_0915"], 0.4196, "test")
         assert entry["status"] == "discrepant"
         assert entry["absolute_gap"] == pytest.approx(0.0364, abs=1e-4)
 
     def test_zero_claim_has_no_relative_gap(self):
-        entry = discrepancy_entry(claim("dd_limit"), 0.2, "test")
+        entry = discrepancy_entry(CLAIMS["dd_limit"], 0.2, "test")
         assert entry["status"] == "discrepant"
         assert entry["absolute_gap"] == pytest.approx(0.2, abs=1e-12)
         assert entry["relative_gap"] is None
         assert "relative" not in render_report("x", [entry]).split("gap:")[1].splitlines()[0]
 
+    def test_claim_without_number_is_a_predicate(self):
+        # Only a certified True reproduces; False, and None for "not decided", stay discrepant.
+        for computed, status in [(True, "reproduced"), (False, "discrepant"), (None, "discrepant")]:
+            entry = discrepancy_entry(CLAIMS["rate_sign"], computed, "test")
+            assert (entry["status"], entry["absolute_gap"], entry["relative_gap"]) == (status, None, None)
+
     def test_render_contains_all_entries(self):
         entries = [
-            discrepancy_entry(claim("h2_0915"), 0.4196, "direct"),
-            discrepancy_entry(claim("table1_success"), 0.33, "exact tree"),
+            discrepancy_entry(CLAIMS["h2_0915"], 0.4196, "direct"),
+            discrepancy_entry(CLAIMS["table1_success"], 0.33, "exact tree"),
         ]
         text = render_report("table1", entries)
         assert "h2_0915" in text and "table1_success" in text
@@ -405,6 +410,30 @@ class TestExperiments:
         builtins = (str, bool, int, float, type(None))
         assert [(where, kind) for where, kind in leaves(document, "") if kind not in builtins] == []
 
+    def test_table2_separation_entries(self, tmp_path):
+        def separation(**settings):
+            cfg = build_config("table2", {**settings, "out_dir": str(tmp_path)})
+            entries = run(cfg).discrepancies
+            return next(e for e in entries if e["claim"] == "table2_pes"), [
+                e for e in entries if e["claim"] == "same_channel_separation"
+            ]
+
+        pes, (one, two) = separation()
+        assert [e["sides"] for e in (one, two)] == ["one", "two"]
+        assert (one["computed_value"], one["status"], one["margin"]) == (False, "discrepant", 0.0)
+        assert one["shaped_er"] == pes["computed_value"] and one["ceiling_interval"] == pes["interval"]
+        ceiling = er_numeric(channels.transmit_bell_pair(channels.amplitude_damping(0.3), "two"))
+        assert (two["computed_value"], two["status"], two["gamma"]) == (True, "reproduced", 0.3)
+        assert two["shaped_er"] == er_vedral_plenio(0.7)
+        assert two["ceiling_interval"] == [ceiling.lower, ceiling.value]
+        assert two["margin"] == pytest.approx(0.09399732345963874, abs=1e-12)
+        assert two["label"] == "fixed Phi+ source; pre-channel local unitaries; REE form"
+        assert [e["sides"] for e in separation(sides="one")[1]] == ["one"]
+        # Without damping the margin is rounding, so the claim is not decided.
+        _, (_, undamped) = separation(gamma=0.0)
+        assert abs(undamped["margin"]) < 1e-12
+        assert (undamped["computed_value"], undamped["status"]) == (None, "discrepant")
+
     def test_table2_damping_gap_carries_interval(self, tmp_path):
         cfg = build_config(
             "table2",
@@ -460,7 +489,7 @@ class TestExperiments:
         pinned = json.loads((Path(__file__).parent / "claim_statuses.json").read_text())[experiment]
         cfg = build_config(experiment, {**pinned["config"], "out_dir": str(tmp_path)})
         statuses = [(e["claim"], e["status"]) for e in run(cfg).discrepancies]
-        assert statuses == list(pinned["statuses"].items())
+        assert statuses == [tuple(pair) for pair in pinned["statuses"]]
 
     def test_flow_round_trip(self, tmp_path):
         cfg = build_config(
@@ -548,7 +577,7 @@ def nearest_records(table, post):
 
 class TestClaimRecords:
     def test_nearest_reading_takes_first_on_tie(self):
-        claimed = claim("table1_success").value
+        claimed = CLAIMS["table1_success"].value
         low, high = claimed - 0.0625, claimed + 0.0625
         assert abs(low - claimed) == abs(high - claimed)
         for first, second in [("a/one", "b/two"), ("b/two", "a/one")]:
@@ -584,6 +613,19 @@ class TestClaimRecords:
         for key in keys:
             method = {"one": (0.001, 0.02)} if key.endswith("rate") else "one"
             assert records[key] == (values[key.removeprefix(f"{table}_")], method)
+
+    def test_qualitative_records_are_false_predicates_with_their_numbers(self):
+        records = tables._static_records()
+        evidence = {
+            "hashing_rate_p02": -0.03892059503159356,
+            "fidelity_bridge": 0.7999999999999999,
+            "pulse_average_compression": 8.3e-17,
+            "rate_sign": -0.2535940001153851,
+        }
+        for key, number in evidence.items():
+            holds, _, extra = records[key]
+            assert holds is False and CLAIMS[key].value is None
+            assert extra["evidence"] == pytest.approx(number, rel=1e-12, abs=1e-17)
 
     def test_static_entries_are_shared_and_ignore_the_config(self, tmp_path):
         def static_entries(experiment, **settings):
